@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     rows.push_back(row_at);
 
     // --upto NAME: run the suite prefix ending at the first entry whose
-    // label starts with NAME (CI benches up to c1908 to bound job time).
+    // label starts with NAME (the JSON stamps it: such a run is partial).
     if (!upto.empty() && entry.name.rfind(upto, 0) == 0) break;
   }
 
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
                           : "PARALLEL/SERIAL MISMATCH -- see above\n");
   }
   if (json) {
-    write_table1_json(json_path, rows, jobs);
+    write_table1_json(json_path, rows, quick, upto, jobs);
     std::cout << "wrote " << json_path << "\n";
   }
   if (history) append_history(history_path, rows, quick, repeat);

@@ -2,8 +2,10 @@
 // and the per-circuit "Table 1 row" runner.
 #pragma once
 
+#include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
@@ -12,10 +14,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/telemetry.hpp"
+#include "constraints/level_kernel.hpp"
 #include "prof/perf_counters.hpp"
 #include "verify/verifier.hpp"
 
@@ -176,11 +180,13 @@ inline void write_stage_perf_json(std::ostream& os, const StagePerf& p) {
 
 /// Writes the collected rows as one JSON document (BENCH_table1.json): each
 /// row carries the Table 1 columns plus the per-stage wall-clock breakdown.
-/// `jobs` > 0 records the worker count of the parallel pass; rows then also
-/// carry "seconds_parallel" (serial-vs-parallel comparison).
+/// The top level stamps the run's scope (`quick`, `upto` with "" for the
+/// whole suite, `row_count`) so the CI verdict gate can refuse a baseline
+/// cut short. `jobs` > 0 records the worker count of the parallel pass;
+/// rows then also carry "seconds_parallel" (serial-vs-parallel comparison).
 inline void write_table1_json(const std::string& path,
-                              const std::vector<Table1Row>& rows,
-                              std::size_t jobs = 0) {
+                              const std::vector<Table1Row>& rows, bool quick,
+                              const std::string& upto, std::size_t jobs) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open " + path);
   const auto esc = [](const std::string& s) {
@@ -188,6 +194,9 @@ inline void write_table1_json(const std::string& path,
   };
   os << "{\"bench\":\"table1\"";
   if (jobs > 0) os << ",\"jobs\":" << jobs;
+  os << ",\"quick\":" << (quick ? "true" : "false")
+     << ",\"upto\":\"" << esc(upto) << "\""
+     << ",\"row_count\":" << rows.size();
   os << ",\"rows\":[";
   bool first = true;
   for (const auto& r : rows) {
@@ -220,9 +229,41 @@ inline void write_table1_json(const std::string& path,
   os << "]}\n";
 }
 
+/// HEAD of the enclosing git checkout, or "unknown" outside one.
+inline std::string git_sha() {
+  std::string sha;
+  if (FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[64] = "";
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && std::isspace(static_cast<unsigned char>(sha.back()))) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
+/// The "model name" of /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto b = line.find_first_not_of(' ', colon + 1);
+    if (colon != std::string::npos && b != std::string::npos) {
+      return line.substr(b);
+    }
+  }
+  return "unknown";
+}
+
 /// Appends one JSONL entry to the bench history file and prints the
 /// total-seconds delta against the previous entry (trend at a glance; the
-/// committed file accumulates one line per recorded run).
+/// committed file accumulates one line per recorded run). Each entry names
+/// the commit, the machine (CPU count and model) and the kernel table it
+/// ran on, so entries from different machines are never compared by
+/// accident.
 inline void append_history(const std::string& path,
                            const std::vector<Table1Row>& rows, bool quick,
                            std::size_t repeat) {
@@ -262,6 +303,11 @@ inline void append_history(const std::string& path,
   os << "{\"bench\":\"table1\",\"ts\":\"" << ts << "\",\"quick\":"
      << (quick ? "true" : "false") << ",\"repeat\":" << repeat
      << ",\"rows\":" << rows.size()
+     << ",\"git_sha\":\"" << telemetry::json_escape(git_sha()) << "\""
+     << ",\"nproc\":" << std::thread::hardware_concurrency()
+     << ",\"cpu_model\":\"" << telemetry::json_escape(cpu_model()) << "\""
+     // active_kernel_table() dispatches to the AVX2 set iff simd_enabled().
+     << ",\"kernel_table\":\"" << (simd_enabled() ? "avx2" : "scalar") << "\""
      << ",\"total_seconds\":" << total_seconds
      << ",\"total_backtracks\":" << total_backtracks;
   if (perf.any()) write_stage_perf_json(os, perf);

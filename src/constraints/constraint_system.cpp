@@ -20,6 +20,10 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
       ctr_narrowings_(
           telemetry::Registry::current().counter("engine.narrowings")),
       ctr_conflicts_(telemetry::Registry::current().counter("engine.conflicts")),
+      ctr_implication_scans_(
+          telemetry::Registry::current().counter("engine.implication_scans")),
+      ctr_implication_narrowings_(telemetry::Registry::current().counter(
+          "engine.implication_narrowings")),
       ctr_gate_evals_(
           telemetry::Registry::current().counter("fixpoint.gate_evals")),
       ctr_level_sweeps_(
@@ -117,8 +121,14 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value,
 
   if (implications_ != nullptr && !nd.is_bottom() && nd.single_class() &&
       !was_single) {
-    const bool v = nd.the_class();
-    for (const auto& [x, w] : implications_->of(n, v)) {
+    const auto consequences = implications_->of(n, nd.the_class());
+    ctr_implication_scans_.add(consequences.size());
+    for (const auto& [x, w] : consequences) {
+      // Class !w already empty (bottom included): intersecting x with
+      // class_only(w) changes nothing, so the commit would return untouched.
+      // Skip it straight off the planes.
+      if (domains_.cls_empty(x.index(), w ? 0 : 1)) continue;
+      ctr_implication_narrowings_.inc();
       commit_domain(x, AbstractSignal::class_only(w), GateId{});
     }
   }

@@ -19,11 +19,14 @@
 // Learned class implications (Section 4, static learning) hook in through
 // an ImplicationTable: whenever a net's domain collapses to a single final
 // class, the table's consequences are applied as further restrictions.
+// A consequence whose class is already forced is skipped straight off the
+// planes, so a collapse costs one plane test per entry plus the narrowings
+// it actually causes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/bitplane.hpp"
@@ -36,7 +39,9 @@
 
 namespace waveck {
 
-/// Class implications (y = v) => (x = w), stored per (net, class).
+/// Class implications (y = v) => (x = w). Consequences live in one list per
+/// literal 2*y + v, indexed densely, in insertion order: that order is the
+/// order `commit_domain` applies them, and so the trail order.
 class ImplicationTable {
  public:
   struct Consequence {
@@ -45,21 +50,23 @@ class ImplicationTable {
   };
 
   void add(NetId y, bool v, NetId x, bool w) {
-    table_[key(y, v)].push_back({x, w});
+    const std::size_t lit = literal(y, v);
+    if (lit >= lists_.size()) lists_.resize(lit + 1);
+    lists_[lit].push_back({x, w});
     ++size_;
   }
-  [[nodiscard]] const std::vector<Consequence>& of(NetId y, bool v) const {
-    static const std::vector<Consequence> kEmpty;
-    const auto it = table_.find(key(y, v));
-    return it == table_.end() ? kEmpty : it->second;
+  [[nodiscard]] std::span<const Consequence> of(NetId y, bool v) const {
+    const std::size_t lit = literal(y, v);
+    if (lit >= lists_.size()) return {};
+    return lists_[lit];
   }
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  static std::uint64_t key(NetId y, bool v) {
-    return (std::uint64_t{y.value()} << 1) | (v ? 1 : 0);
+  static std::size_t literal(NetId y, bool v) {
+    return (std::size_t{y.value()} << 1) | (v ? 1 : 0);
   }
-  std::unordered_map<std::uint64_t, std::vector<Consequence>> table_;
+  std::vector<std::vector<Consequence>> lists_;
   std::size_t size_ = 0;
 };
 
@@ -262,6 +269,8 @@ class ConstraintSystem final : private CommitSink {
   telemetry::Counter& ctr_applications_;
   telemetry::Counter& ctr_narrowings_;
   telemetry::Counter& ctr_conflicts_;
+  telemetry::Counter& ctr_implication_scans_;
+  telemetry::Counter& ctr_implication_narrowings_;
   telemetry::Counter& ctr_gate_evals_;
   telemetry::Counter& ctr_level_sweeps_;
   telemetry::Counter& ctr_simd_batches_;

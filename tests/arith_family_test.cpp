@@ -25,8 +25,10 @@ std::uint64_t read_word(const Circuit& c, const FloatingResult& r,
   return v;
 }
 
+// The kind is a std::string, not a const char*: gtest prints a char pointer
+// with its address, which would put a per-process value into the test name.
 class AdderArchitectures
-    : public ::testing::TestWithParam<std::tuple<const char*, unsigned>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>> {
  public:
   static Circuit build(const std::string& kind, unsigned bits) {
     if (kind == "ripple") return gen::ripple_carry_adder(bits);
@@ -59,10 +61,13 @@ TEST_P(AdderArchitectures, AddsCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Family, AdderArchitectures,
-    ::testing::Combine(::testing::Values("ripple", "skip", "select", "ks"),
+    ::testing::Combine(::testing::Values(std::string("ripple"),
+                                         std::string("skip"),
+                                         std::string("select"),
+                                         std::string("ks")),
                        ::testing::Values(4u, 8u)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -2,12 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include "common/telemetry.hpp"
 #include "gen/generators.hpp"
 
 namespace waveck {
 namespace {
 
 constexpr Time kNI = Time::neg_inf();
+
+/// Two disjoint inverters a -> p and b -> q: a consequence on b schedules
+/// only b's gate, so its reaching the fixpoint is visible on q.
+Circuit two_inverters() {
+  Circuit c("pair");
+  const NetId a = c.add_net("a"), b = c.add_net("b");
+  const NetId p = c.add_net("p"), q = c.add_net("q");
+  c.declare_input(a);
+  c.declare_input(b);
+  c.add_gate(GateType::kNot, p, {a}, DelaySpec::fixed(5));
+  c.add_gate(GateType::kNot, q, {b}, DelaySpec::fixed(5));
+  c.declare_output(p);
+  c.declare_output(q);
+  c.finalize();
+  return c;
+}
 
 Circuit and_not_chain() {
   Circuit c("chain");
@@ -178,6 +195,117 @@ TEST(ConstraintSystem, ImplicationTableFires) {
   cs.restrict_domain(*c.find_net("a"), AbstractSignal::class_only(true));
   EXPECT_TRUE(cs.domain(*c.find_net("b")).single_class());
   EXPECT_FALSE(cs.domain(*c.find_net("b")).the_class());
+}
+
+TEST(ConstraintSystem, SatisfiedConsequenceIsSkipped) {
+  telemetry::Registry reg;
+  const telemetry::ScopedRegistry scoped(reg);
+  const Circuit c = two_inverters();
+  const NetId a = *c.find_net("a"), b = *c.find_net("b");
+  ImplicationTable table;
+  table.add(a, true, b, false);
+  ConstraintSystem cs(c);
+  cs.set_implications(&table);
+  cs.push_state();
+  cs.restrict_domain(b, AbstractSignal::class_only(false));
+  const std::size_t trail = cs.trail_size();
+  const std::uint64_t narrowings = cs.narrowings();
+  const std::uint64_t gen = cs.domain_generation();
+  const AbstractSignal b_before = cs.domain(b);
+
+  cs.restrict_domain(a, AbstractSignal::class_only(true));
+  // Only a's own commit shows: the consequence b=0 already held.
+  EXPECT_EQ(cs.trail_size(), trail + 1);
+  EXPECT_EQ(cs.narrowings(), narrowings + 1);
+  EXPECT_EQ(cs.domain_generation(), gen + 1);
+  EXPECT_EQ(cs.domain(b), b_before);
+  EXPECT_EQ(reg.counter("engine.implication_scans").value(), 1u);
+  EXPECT_EQ(reg.counter("engine.implication_narrowings").value(), 0u);
+}
+
+TEST(ConstraintSystem, NarrowingConsequenceTrailsAndReschedules) {
+  telemetry::Registry reg;
+  const telemetry::ScopedRegistry scoped(reg);
+  const Circuit c = two_inverters();
+  const NetId a = *c.find_net("a"), b = *c.find_net("b");
+  const NetId q = *c.find_net("q");
+  ImplicationTable table;
+  table.add(a, true, b, false);
+  ConstraintSystem cs(c);
+  cs.set_implications(&table);
+  const auto mark = cs.push_state();
+  cs.restrict_domain(a, AbstractSignal::class_only(true));
+  ASSERT_EQ(cs.trail_size(), mark + 2);
+  EXPECT_EQ(cs.trail_net(mark), a);
+  EXPECT_EQ(cs.trail_net(mark + 1), b);
+  EXPECT_TRUE(cs.domain(b).single_class());
+  EXPECT_FALSE(cs.domain(b).the_class());
+  EXPECT_EQ(reg.counter("engine.implication_scans").value(), 1u);
+  EXPECT_EQ(reg.counter("engine.implication_narrowings").value(), 1u);
+  // b's gate was scheduled by the consequence: the drain inverts b into q.
+  EXPECT_TRUE(cs.domain(q).is_top());
+  EXPECT_EQ(cs.reach_fixpoint(),
+            ConstraintSystem::Status::kPossibleViolation);
+  EXPECT_TRUE(cs.domain(q).single_class());
+  EXPECT_TRUE(cs.domain(q).the_class());
+}
+
+TEST(ConstraintSystem, ConsequenceOntoBottomNetIsSkipped) {
+  telemetry::Registry reg;
+  const telemetry::ScopedRegistry scoped(reg);
+  const Circuit c = two_inverters();
+  const NetId a = *c.find_net("a"), b = *c.find_net("b");
+  ImplicationTable table;
+  table.add(a, true, b, false);
+  ConstraintSystem cs(c);
+  cs.set_implications(&table);
+  cs.push_state();
+  cs.restrict_domain(b, AbstractSignal::bottom());
+  ASSERT_EQ(cs.bottom_count(), 1u);
+  const std::size_t trail = cs.trail_size();
+  const std::uint64_t narrowings = cs.narrowings();
+  cs.restrict_domain(a, AbstractSignal::class_only(true));
+  EXPECT_EQ(cs.trail_size(), trail + 1);
+  EXPECT_EQ(cs.narrowings(), narrowings + 1);
+  EXPECT_EQ(cs.bottom_count(), 1u);
+  EXPECT_TRUE(cs.domain(b).is_bottom());
+  EXPECT_EQ(reg.counter("engine.implication_narrowings").value(), 0u);
+}
+
+TEST(ConstraintSystem, ChainedImplicationsFireInInsertionOrder) {
+  Circuit c("free");
+  const NetId a = c.add_net("a"), b = c.add_net("b");
+  const NetId d = c.add_net("d"), e = c.add_net("e");
+  for (NetId n : {a, b, d, e}) {
+    c.declare_input(n);
+    c.declare_output(n);
+  }
+  c.finalize();
+  ImplicationTable table;
+  table.add(a, true, b, false);  // fires first, and chains into d
+  table.add(a, true, e, true);
+  table.add(b, false, d, true);
+  ConstraintSystem cs(c);
+  cs.set_implications(&table);
+  const auto mark = cs.push_state();
+  cs.restrict_domain(a, AbstractSignal::class_only(true));
+  // Depth-first in list order: a, then b and its own consequence d, then e.
+  ASSERT_EQ(cs.trail_size(), mark + 4);
+  EXPECT_EQ(cs.trail_net(mark), a);
+  EXPECT_EQ(cs.trail_net(mark + 1), b);
+  EXPECT_EQ(cs.trail_net(mark + 2), d);
+  EXPECT_EQ(cs.trail_net(mark + 3), e);
+}
+
+TEST(ConstraintSystem, ImplicationTableOfUnusedLiteralIsEmpty) {
+  ImplicationTable table;
+  EXPECT_TRUE(table.of(NetId{0u}, true).empty());
+  table.add(NetId{3u}, true, NetId{1u}, false);
+  EXPECT_EQ(table.of(NetId{3u}, true).size(), 1u);
+  EXPECT_TRUE(table.of(NetId{3u}, false).empty());  // other class
+  EXPECT_TRUE(table.of(NetId{1u}, false).empty());  // below the last literal
+  EXPECT_TRUE(table.of(NetId{9u}, true).empty());   // beyond any entry
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(ConstraintSystem, StatsAdvance) {

@@ -86,6 +86,36 @@ TEST(Learning, NonLocalImplicationThroughReconvergence) {
   EXPECT_TRUE(implies(res.table, z, true, a, true));
 }
 
+TEST(Learning, ConsequencesKeepAddOrder) {
+  // The consequence order is the order commit_domain applies them (and so
+  // the trail order): of() must hand them back exactly as added.
+  ImplicationTable t;
+  const NetId y{2u}, x0{5u}, x1{0u}, x2{7u};
+  t.add(y, true, x0, false);
+  t.add(x1, false, y, true);  // another literal in between
+  t.add(y, true, x1, true);
+  t.add(y, false, x2, true);
+  t.add(y, true, x2, false);
+  const auto cons = t.of(y, true);
+  ASSERT_EQ(cons.size(), 3u);
+  EXPECT_EQ(cons[0].net, x0);
+  EXPECT_FALSE(cons[0].cls);
+  EXPECT_EQ(cons[1].net, x1);
+  EXPECT_TRUE(cons[1].cls);
+  EXPECT_EQ(cons[2].net, x2);
+  EXPECT_FALSE(cons[2].cls);
+  EXPECT_EQ(t.size(), 5u);
+
+  // A learned table partitions its entries over the literals.
+  const Circuit c = map_to_nor(gen::c17());
+  const LearningResult res = learn_implications(c);
+  std::size_t total = 0;
+  for (NetId n : c.all_nets()) {
+    total += res.table.of(n, false).size() + res.table.of(n, true).size();
+  }
+  EXPECT_EQ(total, res.table.size());
+}
+
 TEST(Learning, SizeGuardSkipsHugeCircuits) {
   const Circuit c = gen::c17();
   LearningOptions opt;

@@ -19,6 +19,12 @@ struct Expectation {
   const char* closes;
 };
 
+// Without this gtest prints the raw bytes of the two pointers, which would
+// put a per-process value into the test name.
+void PrintTo(const Expectation& e, std::ostream* os) {
+  *os << '{' << e.name << ", " << e.closes << '}';
+}
+
 class SuiteProfile : public ::testing::TestWithParam<Expectation> {};
 
 TEST_P(SuiteProfile, MatchesPaperTable1) {
