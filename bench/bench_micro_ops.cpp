@@ -5,7 +5,6 @@
 #include <array>
 
 #include "constraints/constraint_system.hpp"
-#include "constraints/level_kernel.hpp"
 #include "constraints/projection.hpp"
 #include "gen/builder.hpp"
 #include "gen/generators.hpp"
@@ -113,88 +112,22 @@ void BM_FixpointNorC17(benchmark::State& state) {
 }
 BENCHMARK(BM_FixpointNorC17);
 
-// ----- level-sweep kernels: scalar vs SIMD on synthetic wide levels --------
-// One wide level of independent same-arity gates over a small shared input
-// pool: the constraint system drains it as a handful of kernel runs, so the
-// measured cost is almost purely the batched projection kernel. Reported as
-// ns per gate evaluation (items == gate evals); run with WAVECK_SIMD=0 to
-// get the scalar twin's numbers from the same binary.
-Circuit wide_level_circuit(GateType type, unsigned arity, unsigned gates) {
+// ----- level sweeps on synthetic wide levels ---------------------------------
+// One wide level of independent gates over a small shared input pool: the
+// constraint system drains it in a handful of level sweeps, so the measured
+// cost is almost purely per-gate projection and commit. Reported as ns per
+// gate evaluation (items == gate evals).
+Circuit wide_level_circuit(const std::vector<GateType>& types, unsigned gates,
+                           unsigned min_arity, unsigned arity_span) {
   gen::detail::Builder b("wide_level");
   std::vector<NetId> pool;
   for (unsigned i = 0; i < 12; ++i) {
     pool.push_back(b.input("i" + std::to_string(i)));
   }
   for (unsigned g = 0; g < gates; ++g) {
-    std::vector<NetId> ins;
-    for (unsigned k = 0; k < arity; ++k) {
-      ins.push_back(pool[(g * 7 + k * 5 + k) % pool.size()]);
-    }
-    b.out(type, "o" + std::to_string(g), std::move(ins));
-  }
-  b.c.set_uniform_delay(DelaySpec(8, 12));
-  b.c.finalize();
-  return std::move(b.c);
-}
-
-void run_level_sweep(benchmark::State& state, GateType type, bool simd) {
-  const unsigned arity = static_cast<unsigned>(state.range(0));
-  const Circuit c = wide_level_circuit(type, arity, 256);
-  const bool prior = simd_enabled();
-  if (simd && !simd_supported()) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  set_simd_enabled(simd);
-  std::uint64_t evals = 0;
-  for (auto _ : state) {
-    ConstraintSystem cs(c);
-    for (NetId in : c.inputs()) {
-      cs.restrict_domain(in, AbstractSignal::floating_input());
-    }
-    for (NetId out : c.outputs()) {
-      cs.restrict_domain(out, AbstractSignal::violating(Time(15)));
-    }
-    cs.schedule_all();
-    benchmark::DoNotOptimize(cs.reach_fixpoint());
-    evals += cs.applications();
-  }
-  set_simd_enabled(prior);
-  state.SetItemsProcessed(static_cast<int64_t>(evals));
-}
-
-void BM_LevelSweepAndScalar(benchmark::State& state) {
-  run_level_sweep(state, GateType::kAnd, false);
-}
-void BM_LevelSweepAndSimd(benchmark::State& state) {
-  run_level_sweep(state, GateType::kAnd, true);
-}
-void BM_LevelSweepNorScalar(benchmark::State& state) {
-  run_level_sweep(state, GateType::kNor, false);
-}
-void BM_LevelSweepNorSimd(benchmark::State& state) {
-  run_level_sweep(state, GateType::kNor, true);
-}
-BENCHMARK(BM_LevelSweepAndScalar)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepAndSimd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepNorScalar)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-BENCHMARK(BM_LevelSweepNorSimd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-
-// Mixed gate classes in one level: exercises run segmentation (several
-// (type, arity) runs per sweep) and the unary kernel alongside the
-// controlling one.
-void BM_LevelSweepMixed(benchmark::State& state) {
-  const bool simd = state.range(0) != 0;
-  gen::detail::Builder b("mixed_level");
-  std::vector<NetId> pool;
-  for (unsigned i = 0; i < 12; ++i) {
-    pool.push_back(b.input("i" + std::to_string(i)));
-  }
-  const GateType kinds[] = {GateType::kAnd, GateType::kOr, GateType::kNand,
-                            GateType::kNor, GateType::kNot, GateType::kXor};
-  for (unsigned g = 0; g < 240; ++g) {
-    const GateType t = kinds[g % 6];
-    const unsigned arity = t == GateType::kNot ? 1 : 2 + g % 3;
+    const GateType t = types[g % types.size()];
+    const unsigned arity =
+        t == GateType::kNot ? 1 : min_arity + g % arity_span;
     std::vector<NetId> ins;
     for (unsigned k = 0; k < arity; ++k) {
       ins.push_back(pool[(g * 7 + k * 5 + k) % pool.size()]);
@@ -203,30 +136,48 @@ void BM_LevelSweepMixed(benchmark::State& state) {
   }
   b.c.set_uniform_delay(DelaySpec(8, 12));
   b.c.finalize();
-  const Circuit& c = b.c;
-  const bool prior = simd_enabled();
-  if (simd && !simd_supported()) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  set_simd_enabled(simd);
+  return std::move(b.c);
+}
+
+void run_level_sweep(benchmark::State& state, const Circuit& c) {
   std::uint64_t evals = 0;
   for (auto _ : state) {
     ConstraintSystem cs(c);
     for (NetId in : c.inputs()) {
       cs.restrict_domain(in, AbstractSignal::floating_input());
     }
+    // A check time inside the [8, 12] gate delay keeps the outputs feasible,
+    // so the drain evaluates every gate instead of stopping at a conflict.
     for (NetId out : c.outputs()) {
-      cs.restrict_domain(out, AbstractSignal::violating(Time(15)));
+      cs.restrict_domain(out, AbstractSignal::violating(Time(10)));
     }
     cs.schedule_all();
     benchmark::DoNotOptimize(cs.reach_fixpoint());
     evals += cs.applications();
   }
-  set_simd_enabled(prior);
   state.SetItemsProcessed(static_cast<int64_t>(evals));
 }
-BENCHMARK(BM_LevelSweepMixed)->Arg(0)->Arg(1);
+
+void BM_LevelSweepAnd(benchmark::State& state) {
+  const auto arity = static_cast<unsigned>(state.range(0));
+  run_level_sweep(state, wide_level_circuit({GateType::kAnd}, 256, arity, 1));
+}
+void BM_LevelSweepNor(benchmark::State& state) {
+  const auto arity = static_cast<unsigned>(state.range(0));
+  run_level_sweep(state, wide_level_circuit({GateType::kNor}, 256, arity, 1));
+}
+BENCHMARK(BM_LevelSweepAnd)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_LevelSweepNor)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+
+// Mixed gate classes and arities in one level.
+void BM_LevelSweepMixed(benchmark::State& state) {
+  run_level_sweep(
+      state, wide_level_circuit({GateType::kAnd, GateType::kOr,
+                                 GateType::kNand, GateType::kNor,
+                                 GateType::kNot, GateType::kXor},
+                                240, 2, 3));
+}
+BENCHMARK(BM_LevelSweepMixed);
 
 void BM_TrailPushPop(benchmark::State& state) {
   Circuit c = gen::carry_skip_adder(16, 4);

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   std::size_t jobs = 0;    // 0 = serial only, no parallel pass
   std::size_t repeat = 1;  // timed serial runs per row (--repeat)
   std::string upto;        // stop after the first entry matching this prefix
-  std::string json_path = "BENCH_table1.json";
+  const std::string baseline_path = "BENCH_table1.json";
+  std::string json_path;   // --json FILE; empty = the committed baseline
   std::string trace_path;  // --trace: JSONL capture of one extra run per row
   bool history = false;    // --append-history: one JSONL entry per run
   std::string history_path = "BENCH_history.jsonl";
@@ -65,6 +66,17 @@ int main(int argc, char** argv) {
                    "[--append-history [FILE]]\n";
       return 2;
     }
+  }
+  // The baseline must always hold the full suite: a partial run (--quick or
+  // --upto) writes JSON only to a file it names itself.
+  if (json && json_path.empty()) {
+    if (quick || !upto.empty()) {
+      std::cerr << "bench_table1: refusing to write a partial run ("
+                << (quick ? "--quick" : "--upto " + upto) << ") to "
+                << baseline_path << "; name its file: --json FILE\n";
+      return 2;
+    }
+    json_path = baseline_path;
   }
 
   // --trace: every row gets one *extra* run with the sink installed (the

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/telemetry.hpp"
-#include "constraints/level_kernel.hpp"
 #include "prof/perf_counters.hpp"
 #include "verify/verifier.hpp"
 
@@ -261,9 +260,8 @@ inline std::string cpu_model() {
 /// Appends one JSONL entry to the bench history file and prints the
 /// total-seconds delta against the previous entry (trend at a glance; the
 /// committed file accumulates one line per recorded run). Each entry names
-/// the commit, the machine (CPU count and model) and the kernel table it
-/// ran on, so entries from different machines are never compared by
-/// accident.
+/// the commit and the machine (CPU count and model) it ran on, so entries
+/// from different machines are never compared by accident.
 inline void append_history(const std::string& path,
                            const std::vector<Table1Row>& rows, bool quick,
                            std::size_t repeat) {
@@ -306,8 +304,6 @@ inline void append_history(const std::string& path,
      << ",\"git_sha\":\"" << telemetry::json_escape(git_sha()) << "\""
      << ",\"nproc\":" << std::thread::hardware_concurrency()
      << ",\"cpu_model\":\"" << telemetry::json_escape(cpu_model()) << "\""
-     // active_kernel_table() dispatches to the AVX2 set iff simd_enabled().
-     << ",\"kernel_table\":\"" << (simd_enabled() ? "avx2" : "scalar") << "\""
      << ",\"total_seconds\":" << total_seconds
      << ",\"total_backtracks\":" << total_backtracks;
   if (perf.any()) write_stage_perf_json(os, perf);

@@ -101,12 +101,12 @@ std::vector<NetId> timing_dominators(const Circuit& c,
   // output, and the fuzz shrinker produces such netlists) it was excluded
   // from both collection loops above and has to be inserted here.
   if (verts.empty() || verts.front() != s) {
-    const auto it = std::find(verts.begin(), verts.end(), s);
+    auto it = std::find(verts.begin(), verts.end(), s);
     if (it == verts.end()) {
-      verts.insert(verts.begin(), s);
-    } else {
-      std::rotate(verts.begin(), it, it + 1);
+      verts.push_back(s);
+      it = verts.end() - 1;
     }
+    std::rotate(verts.begin(), it, it + 1);
   }
 
   const std::size_t n_verts = verts.size() + 1;  // + T

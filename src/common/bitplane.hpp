@@ -3,7 +3,7 @@
 // The data-oriented constraint core keeps its per-net / per-gate flags
 // (in-queue, changed-since-drain, carrier marks) as bit planes instead of
 // byte vectors: an ISCAS-sized circuit's whole flag plane fits in a few
-// cache lines, and the level-sweep kernels walk set bits a word at a time
+// cache lines, and the level sweeps walk set bits a word at a time
 // (`for_each_set_in_range`) instead of testing gates one by one.
 #pragma once
 

@@ -68,6 +68,16 @@ Ring* claim_ring() {
 
 }  // namespace detail
 
+namespace {
+/// Copies up to kNameCap bytes of `s` into a zeroed name field. An empty
+/// name may have a null data(), and memcpy from null is undefined even at
+/// size 0, so the copy is skipped.
+void copy_name(char* dst, std::string_view s) {
+  const std::size_t n = std::min(s.size(), kNameCap);
+  if (n != 0) std::memcpy(dst, s.data(), n);
+}
+}  // namespace
+
 void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
@@ -87,8 +97,7 @@ void record(Kind kind, std::string_view name, std::int64_t a, std::int64_t b,
   rec.dec = ctx.dec;
   rec.a = a;
   rec.b = b;
-  const std::size_t n = std::min(name.size(), kNameCap);
-  std::memcpy(rec.name, name.data(), n);
+  copy_name(rec.name, name);
   rec.kind = static_cast<std::uint8_t>(kind);
   rec.aux = aux;
   const int w = telemetry::worker_id();
@@ -555,9 +564,8 @@ void dump(std::ostream& os, std::string_view reason) {
     for (auto it = cs.stages.rbegin(); it != cs.stages.rend(); ++it) {
       r.kind = static_cast<std::uint8_t>(Kind::kStageEnd);
       r.aux = kStageNotRun;
-      const std::size_t n = std::min(it->size(), kNameCap);
       std::memset(r.name, 0, kNameCap);
-      std::memcpy(r.name, it->data(), n);
+      copy_name(r.name, *it);
       write_rec(r);
       r.t_ns = t0 + (++t_last);
     }
@@ -565,7 +573,7 @@ void dump(std::ostream& os, std::string_view reason) {
     r.aux = kConclusionA;  // abandoned: the dump interrupted it
     r.a = 0;
     std::memset(r.name, 0, kNameCap);
-    std::memcpy(r.name, cs.output.data(), std::min(cs.output.size(), kNameCap));
+    copy_name(r.name, cs.output);
     write_rec(r);
   }
 
@@ -575,8 +583,10 @@ void dump(std::ostream& os, std::string_view reason) {
     r.chk = -1;
     r.dec = -1;
     r.kind = static_cast<std::uint8_t>(Kind::kMark);
-    std::snprintf(r.name, kNameCap, "sanitized:%llu",
+    char buf[32];  // "sanitized:" + up to 20 digits + NUL
+    std::snprintf(buf, sizeof buf, "sanitized:%llu",
                   static_cast<unsigned long long>(dropped - torn));
+    copy_name(r.name, buf);
     write_rec(r);
   }
   os.flush();

@@ -58,10 +58,9 @@ class Time {
 
   // ----- raw (sentinel-encoded) view ---------------------------------------
   // The SoA domain planes (constraints/soa_domain.hpp) store bounds as bare
-  // int64 with the same sentinel encoding this class uses internally, so the
-  // batched kernels can do branch-free min/max/saturating-add on plane
-  // arrays. `raw()`/`from_raw` convert without re-validating; the sentinel
-  // constants are exposed for the kernels' saturation masks.
+  // int64 with the same sentinel encoding this class uses internally, so
+  // plane predicates compare raw words directly. `raw()`/`from_raw` convert
+  // without re-validating; the sentinel constants name the plane encoding.
   static constexpr std::int64_t kRawNegInf = INT64_MIN / 4;
   static constexpr std::int64_t kRawPosInf = INT64_MAX / 4;
 

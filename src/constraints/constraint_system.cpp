@@ -1,9 +1,11 @@
 #include "constraints/constraint_system.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "common/flight_recorder.hpp"
+#include "constraints/projection.hpp"
 #include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
 
@@ -28,10 +30,6 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
           telemetry::Registry::current().counter("fixpoint.gate_evals")),
       ctr_level_sweeps_(
           telemetry::Registry::current().counter("fixpoint.level_sweeps")),
-      ctr_simd_batches_(
-          telemetry::Registry::current().counter("fixpoint.simd_batches")),
-      ctr_scalar_tail_(
-          telemetry::Registry::current().counter("fixpoint.scalar_tail")),
       ctr_perf_cycles_(
           telemetry::Registry::current().counter("perf.fixpoint.cycles")),
       ctr_perf_instructions_(telemetry::Registry::current().counter(
@@ -58,6 +56,10 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
           telemetry::Registry::current().gauge("engine.arena_bytes")) {
   // Longest-path gate levels: level(g) = 1 + max level over driven inputs.
   for (GateId g : circuit.topo_order()) {
+    if (circuit.gate(g).ins.size() > gate_ins_.size()) {
+      throw std::invalid_argument(
+          "gate fanin above 32: project_gate takes at most 32 inputs");
+    }
     std::uint32_t lv = 0;
     for (NetId in : circuit.gate(g).ins) {
       const GateId drv = circuit.net(in).driver;
@@ -177,6 +179,27 @@ void ConstraintSystem::clear_queue() {
   touched_hi_ = 0;
 }
 
+void ConstraintSystem::apply_slot(std::uint32_t s) {
+  const std::uint32_t off = plan_.ins_offset[s];
+  const std::span<AbstractSignal> ins(gate_ins_.data(),
+                                      plan_.ins_offset[s + 1] - off);
+  const NetId onet{plan_.out_net[s]};
+  AbstractSignal out = domains_.get(onet);
+  for (std::size_t k = 0; k < ins.size(); ++k) {
+    ins[k] = domains_.get(NetId{plan_.ins_net[off + k]});
+  }
+  DelaySpec d;
+  d.dmin = plan_.dmin[s];
+  d.dmax = plan_.dmax[s];
+  const ProjectionDelta delta = project_gate(plan_.type[s], d, out, ins);
+  if (delta.out_changed) commit_domain(onet, out, GateId{});
+  for (std::size_t k = 0; k < ins.size(); ++k) {
+    if (delta.in_changed(k)) {
+      commit_domain(NetId{plan_.ins_net[off + k]}, ins[k], GateId{});
+    }
+  }
+}
+
 bool ConstraintSystem::sweep_level(std::size_t lv,
                                    std::uint64_t& next_deadline_check,
                                    std::size_t& peak_queue) {
@@ -184,8 +207,7 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   const std::uint32_t se = plan_.level_begin[lv + 1];
   // Snapshot and unqueue the level's scheduled slots before evaluating
   // anything: commits during the sweep re-queue gates (same level included)
-  // for the *next* sweep. The word scan yields slots in ascending order,
-  // i.e. already grouped by the plan's (kind, type, arity) runs.
+  // for the *next* sweep. The word scan yields slots in ascending order.
   sweep_slots_.clear();
   slot_queued_.for_each_set_in_range(sb, se, [&](std::size_t s) {
     sweep_slots_.push_back(static_cast<std::uint32_t>(s));
@@ -197,16 +219,7 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   slot_queued_.clear_range(sb, se);
   level_count_[lv] = 0;
 
-  const KernelTable& kt = active_kernel_table();
-  const std::size_t nslots = sweep_slots_.size();
-  std::size_t r = plan_.run_begin_of_level[lv];
-  std::size_t i = 0;
-  while (i < nslots) {
-    while (plan_.runs[r].end <= sweep_slots_[i]) ++r;
-    const KernelRun& run = plan_.runs[r];
-    std::size_t j = i + 1;
-    while (j < nslots && sweep_slots_[j] < run.end) ++j;
-    const std::size_t seg = j - i;
+  for (const std::uint32_t s : sweep_slots_) {
     if (applications_ >= next_deadline_check) {
       if (prof::monotonic_ns() >= deadline_ns_) {
         clear_queue();
@@ -215,12 +228,9 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
       }
       next_deadline_check = applications_ + kDeadlineStride;
     }
-    applications_ += seg;
-    kt.fn[static_cast<std::size_t>(run.kind)](domains_, plan_, run,
-                                              sweep_slots_.data() + i, seg,
-                                              *this, kstats_);
+    ++applications_;
+    apply_slot(s);
     if (bottom_count_ > 0) return true;  // outer loop clears and concludes
-    i = j;
   }
   return true;
 }
@@ -248,7 +258,6 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   Status status = Status::kPossibleViolation;
   std::size_t peak_queue = queue_size_;
   std::uint64_t sweeps = 0;
-  kstats_ = {};
   // Deadline bookkeeping: one clock read every kDeadlineStride gate
   // applications (and one up front, so an already-expired deadline never
   // starts a drain). A hit clears the queue and latches deadline_hit_; the
@@ -274,8 +283,6 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
   ctr_gate_evals_.add(applications_ - apps0);
   ctr_narrowings_.add(narrowings_ - nar0);
   ctr_level_sweeps_.add(sweeps);
-  ctr_simd_batches_.add(kstats_.simd_batches);
-  ctr_scalar_tail_.add(kstats_.scalar_tail);
   if (perf_on) {
     const prof::CounterDelta d =
         prof::delta_between(perf0, prof::thread_counter_group().read());

@@ -2,14 +2,13 @@
 //
 // One variable per net, one relational constraint per gate. The variable
 // store is data-oriented: four flat int64 bound planes indexed by NetId
-// (SoaDomain) plus bit planes for the in-queue and changed-net flags, so
-// the drain can evaluate a whole topological level as one batched sweep
-// through the level kernels (level_kernel.hpp) — vectorised min/max/
-// saturating-add over 4-wide int64 lanes with a scalar twin. All narrowing
-// still funnels through one commit path (`commit_domain`), which keeps the
-// trail, scheduling, learning and telemetry semantics identical whichever
-// kernel set ran; the greatest fixpoint is order-independent (Theorem 1),
-// so canonical results cannot depend on batching or lane width.
+// (SoaDomain) plus bit planes for the in-queue and changed-net flags. The
+// drain sweeps one topological level at a time over the level-major slot
+// layout (level_kernel.hpp), evaluating each queued gate with the one gate
+// algebra, `project_gate`. All narrowing funnels through one commit path
+// (`commit_domain`), which keeps the trail, scheduling, learning and
+// telemetry in step; the greatest fixpoint is order-independent
+// (Theorem 1), so canonical results cannot depend on the sweep order.
 //
 // `reach_fixpoint` repeatedly applies scheduled gate constraints until no
 // domain narrows -- the greatest fixpoint. Selective state saving (a trail
@@ -24,6 +23,7 @@
 // it actually causes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -70,7 +70,7 @@ class ImplicationTable {
   std::size_t size_ = 0;
 };
 
-class ConstraintSystem final : private CommitSink {
+class ConstraintSystem final {
  public:
   enum class Status : std::uint8_t {
     kPossibleViolation,  // fixpoint reached with consistent domains
@@ -78,7 +78,8 @@ class ConstraintSystem final : private CommitSink {
   };
 
   /// Binds to `circuit` (kept by reference; must outlive the system). All
-  /// domains start at top.
+  /// domains start at top. Throws std::invalid_argument on a gate with more
+  /// than 32 inputs.
   explicit ConstraintSystem(const Circuit& circuit);
 
   [[nodiscard]] const Circuit& circuit() const { return circuit_; }
@@ -110,8 +111,8 @@ class ConstraintSystem final : private CommitSink {
   void schedule_all();
   void clear_queue();
 
-  /// Paper Figure 4 `reach_fixpoint`: drains the event queue, one batched
-  /// level sweep at a time. Returns kNoViolation iff some domain emptied
+  /// Paper Figure 4 `reach_fixpoint`: drains the event queue, one level
+  /// sweep at a time. Returns kNoViolation iff some domain emptied
   /// (Theorem 2 generalised to any net).
   Status reach_fixpoint();
 
@@ -185,14 +186,10 @@ class ConstraintSystem final : private CommitSink {
   void save_if_needed(NetId n);
   /// Commits a narrowed value for net `n`: trail, events, learning.
   void commit_domain(NetId n, const AbstractSignal& value, GateId source);
-  /// CommitSink: the kernels' single way of narrowing a net.
-  void kernel_commit(NetId n, const AbstractSignal& value) override {
-    commit_domain(n, value, GateId{});
-  }
-  [[nodiscard]] bool kernel_inconsistent() const override {
-    return bottom_count_ > 0;
-  }
-  /// Evaluates every scheduled gate of `lv` as run-batched kernel calls.
+  /// Applies `project_gate` to the gate in plan slot `s` and commits every
+  /// narrowed net, output first, then inputs.
+  void apply_slot(std::uint32_t s);
+  /// Evaluates every scheduled gate of `lv`, in slot order.
   /// Returns false when the deadline expired mid-sweep (queue cleared,
   /// deadline_hit_ latched).
   bool sweep_level(std::size_t lv, std::uint64_t& next_deadline_check,
@@ -209,19 +206,22 @@ class ConstraintSystem final : private CommitSink {
   // Topo-level queue over plan slots. Gates are bucketed by longest-path
   // depth (every circuit edge goes to a strictly higher level) and laid out
   // level-major in the plan's slot order, so "the scheduled gates of the
-  // lowest non-empty level" is a word scan of one bit-plane range and comes
-  // out pre-sorted into the plan's (gate-class, arity) runs. A forward wave
-  // evaluates each gate at most once per level sweep; backward narrowings
-  // (projections restricting gate inputs) rewind the cursor. The greatest
-  // fixpoint is order-independent (Theorem 1), so only the evaluation
-  // count changes. Levels below `cursor_` are empty; `touched_hi_` bounds
-  // the levels pushed since the last clear, so `clear_queue` is O(touched)
-  // rather than O(gates).
+  // lowest non-empty level" is a word scan of one bit-plane range. A forward
+  // wave evaluates each gate at most once per level sweep; backward
+  // narrowings (projections restricting gate inputs) rewind the cursor. The
+  // greatest fixpoint is order-independent (Theorem 1), so only the
+  // evaluation count changes. Levels below `cursor_` are empty;
+  // `touched_hi_` bounds the levels pushed since the last clear, so
+  // `clear_queue` is O(touched) rather than O(gates).
   std::vector<std::uint32_t> gate_level_;
   LevelPlan plan_;
   BitPlane slot_queued_;
   std::vector<std::uint32_t> level_count_;
   std::vector<std::uint32_t> sweep_slots_;  // reused per-sweep scratch
+  // One gate's inputs while it is evaluated; the constructor rejects wider
+  // gates. A member array rather than a vector: the extra heap block per
+  // system raised the peak RSS of a search run by 5 MB.
+  std::array<AbstractSignal, 32> gate_ins_;
   std::size_t queue_size_ = 0;
   std::size_t cursor_ = 0;
   std::size_t touched_hi_ = 0;
@@ -256,10 +256,6 @@ class ConstraintSystem final : private CommitSink {
   BitPlane log_bits_;
   std::uint64_t domain_gen_ = 0;
 
-  // Per-drain batching tallies from the kernels, flushed into the
-  // fixpoint.* counters at reach_fixpoint exit.
-  KernelStats kstats_;
-
   // Registry handles cached at construction: metric updates in the hot
   // paths are plain integer arithmetic, never name lookups. The two
   // highest-rate histograms buffer through LocalHistogram and flush at
@@ -273,8 +269,6 @@ class ConstraintSystem final : private CommitSink {
   telemetry::Counter& ctr_implication_narrowings_;
   telemetry::Counter& ctr_gate_evals_;
   telemetry::Counter& ctr_level_sweeps_;
-  telemetry::Counter& ctr_simd_batches_;
-  telemetry::Counter& ctr_scalar_tail_;
   // Hardware-counter totals for the fixpoint drain (perf observatory):
   // bumped once per reach_fixpoint when prof::counters_enabled(), so the
   // disabled path pays one branch. Cycles/instructions/misses live under

@@ -1,66 +1,32 @@
-// Batched level-sweep projection kernels over the SoA domain planes.
+// Level-major gate layout for the constraint system's level sweeps.
 //
-// PR 4's bucket queue already drains gates one topological level at a time;
-// within a level no gate feeds another, so a whole drained level can be
-// evaluated as one data-parallel sweep. At levelization time the gates are
-// pre-sorted into per-(gate-class, fanin-arity) runs with packed
-// operand-index tables (LevelPlan); at drain time the constraint system
-// hands each run's scheduled slots to a kernel picked from a dispatch table
-// (KernelTable). Two structurally identical kernel sets exist: a 4-lane
-// scalar set (always built) and an AVX2 set (built under WAVECK_SIMD,
-// selected at runtime via CPUID) — both are instantiations of the same
-// templates in level_kernel_impl.hpp over a lane-ops policy, so they narrow
-// bit-identically and canonical reports cannot depend on which one ran.
-//
-// Kernels never write the planes directly: every narrowed value goes
-// through CommitSink::commit (the constraint system's commit_domain), which
-// preserves the trail, scheduling, learning and telemetry semantics of the
-// scalar engine exactly. Within-sweep evaluation order may differ from the
-// event-driven engine's, but the greatest fixpoint is order-independent
-// (paper Theorem 1), so drains converge to identical domains.
+// The constraint system's bucket queue drains gates one topological level
+// at a time; within a level no gate feeds another, so a drained level is
+// one sweep over its queued gates. At levelization time the gates are laid
+// out as dense "slots", sorted by (level, topological position), with
+// packed per-slot operand tables (LevelPlan), so a sweep reads each gate's
+// operands straight off the SoA planes without touching Gate objects.
+// Every slot is evaluated by the one relational projection, `project_gate`
+// (projection.hpp); the constraint system commits what it narrows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/ids.hpp"
-#include "constraints/soa_domain.hpp"
 #include "netlist/circuit.hpp"
 
 namespace waveck {
 
-enum class KernelKind : std::uint8_t {
-  kUnary,        // NOT/BUF/DELAY: vector shift + intersect
-  kControlling,  // AND/NAND/OR/NOR up to kMaxControllingArity inputs
-  kGeneric,      // XOR/XNOR/MUX and very wide gates: scalar project_gate
-};
-inline constexpr std::size_t kNumKernelKinds = 3;
-
-/// Widest fanin the dedicated controlling-gate kernel handles; wider gates
-/// fall back to the generic kernel (identical semantics, no batching).
-inline constexpr std::size_t kMaxControllingArity = 8;
-
-/// A maximal range of slots sharing (level, kind, type, arity).
-struct KernelRun {
-  std::uint32_t begin = 0;  // first slot
-  std::uint32_t end = 0;    // one past last slot
-  GateType type = GateType::kAnd;
-  std::uint32_t arity = 0;
-  KernelKind kind = KernelKind::kGeneric;
-};
-
-/// Levelization-time layout: gates sorted by (level, kind, type, arity,
-/// topo position) into dense "slots", with packed per-slot operand tables
-/// so kernels index planes without touching Gate objects.
+/// Levelization-time layout: gates sorted by (level, topo position) into
+/// dense slots, with packed per-slot operand tables.
 struct LevelPlan {
   std::vector<std::uint32_t> slot_of_gate;  // gate index -> slot
   std::vector<std::uint32_t> gate_of_slot;  // slot -> gate index
   std::vector<std::uint32_t> level_begin;   // level -> first slot (n+1 ents)
-  std::vector<KernelRun> runs;              // ascending by begin
-  std::vector<std::uint32_t> run_begin_of_level;  // level -> first run
   // Per-slot packed tables. A slot's inputs occupy
-  // ins_net[ins_offset[slot] .. ins_offset[slot] + arity).
+  // ins_net[ins_offset[slot] .. ins_offset[slot + 1]).
+  std::vector<GateType> type;
   std::vector<std::uint32_t> out_net;
   std::vector<std::uint32_t> ins_offset;
   std::vector<std::uint32_t> ins_net;
@@ -74,46 +40,10 @@ struct LevelPlan {
   [[nodiscard]] std::size_t capacity_bytes() const;
 };
 
-/// Commit interface back into the constraint system. Kernels evaluate in
-/// small buffered groups and push each narrowed net through here, in the
-/// same per-gate order (output first, then inputs) as the scalar engine.
-class CommitSink {
- public:
-  /// Narrows `n` to (current ∩ value); trail/schedule/learning included.
-  virtual void kernel_commit(NetId n, const AbstractSignal& value) = 0;
-  /// True once some domain emptied; kernels return early.
-  [[nodiscard]] virtual bool kernel_inconsistent() const = 0;
-
- protected:
-  ~CommitSink() = default;
-};
-
-/// Per-drain batching tallies, flushed into the fixpoint.* counters.
-struct KernelStats {
-  std::uint64_t simd_batches = 0;  // full 4-wide vector groups evaluated
-  std::uint64_t scalar_tail = 0;   // gates evaluated outside full batches
-};
-
-using KernelFn = void (*)(const SoaDomain& dom, const LevelPlan& plan,
-                          const KernelRun& run, const std::uint32_t* slots,
-                          std::size_t n, CommitSink& sink, KernelStats& stats);
-
-struct KernelTable {
-  KernelFn fn[kNumKernelKinds] = {};
-};
-
-// ----- runtime dispatch ------------------------------------------------------
-/// True iff the AVX2 kernel set was compiled in (WAVECK_SIMD build).
+// The engine has no lane kernels; these report that. Their only caller is
+// the benchmark's provenance stamp (wavebench/src/workloads.cpp).
 [[nodiscard]] bool simd_compiled();
-/// True iff compiled in *and* this CPU reports AVX2.
 [[nodiscard]] bool simd_supported();
-/// Requests the AVX2 set on/off at runtime (effective only when supported).
-/// The initial setting honours the WAVECK_SIMD environment variable
-/// ("0"/"off"/"OFF" disable); the fuzz battery's simd_equivalence property
-/// flips this in-process to compare both paths.
-void set_simd_enabled(bool on);
 [[nodiscard]] bool simd_enabled();
-/// The kernel set the next sweep will dispatch through.
-[[nodiscard]] const KernelTable& active_kernel_table();
 
 }  // namespace waveck

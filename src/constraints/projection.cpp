@@ -5,13 +5,11 @@
 namespace waveck {
 namespace {
 
-/// Narrows `dst` to `dst ∩ with`; records the change.
+/// Narrows `dst` to `dst ∩ with`; records the change. A semantically
+/// unchanged `dst` is left as it is.
 bool narrow_to(LtInterval& dst, const LtInterval& with) {
   const LtInterval nd = dst.intersect(with);
-  if (nd == dst.normalized()) {
-    if (!(nd == dst)) dst = nd;  // canonicalise empties silently
-    return false;
-  }
+  if (nd == dst) return false;
   dst = nd;
   return true;
 }

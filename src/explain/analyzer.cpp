@@ -156,7 +156,7 @@ class Analyzer {
     c.delta = e.num("delta", 0);
     c.worker = static_cast<int>(e.w);
     c.t_begin = e.t;
-    open_.emplace(e.chk, OpenCheck{out_.checks.size()});
+    open_.emplace(e.chk, OpenCheck{out_.checks.size(), true, {}});
     out_.checks.push_back(std::move(c));
   }
 

@@ -46,10 +46,6 @@ enum class Property : std::uint8_t {
   /// incremental carrier/dominator cache is a pure optimisation (catches
   /// stale-cache bugs).
   kCacheEquivalence,
-  /// AVX2 vs scalar level-sweep kernels produce byte-identical suite JSON:
-  /// the SIMD kernels are a pure optimisation of the same narrowing
-  /// operators (skipped when the host lacks AVX2 or the build omitted it).
-  kSimdEquivalence,
   /// A traced per-output run yields a structurally well-formed JSONL trace:
   /// the explain analyzer reconstructs it with zero warnings (every
   /// check_begin has a matching check_end, every decision exactly one

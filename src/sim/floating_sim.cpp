@@ -9,7 +9,7 @@ FloatingResult simulate_floating(const Circuit& c,
                                  const std::vector<bool>& inputs) {
   assert(inputs.size() == c.inputs().size());
   FloatingResult r;
-  r.value.assign(c.num_nets(), false);
+  r.value = std::vector<bool>(c.num_nets(), false);
   r.settle.assign(c.num_nets(), Time(0));
 
   for (std::size_t i = 0; i < inputs.size(); ++i) {

@@ -19,7 +19,7 @@ FloatingResult simulate_transition(const Circuit& c,
                                    const std::vector<bool>& v2) {
   assert(v1.size() == c.inputs().size() && v2.size() == c.inputs().size());
   FloatingResult r;
-  r.value.assign(c.num_nets(), false);
+  r.value = std::vector<bool>(c.num_nets(), false);
   r.settle.assign(c.num_nets(), Time::neg_inf());
   for (std::size_t i = 0; i < v2.size(); ++i) {
     const NetId in = c.inputs()[i];

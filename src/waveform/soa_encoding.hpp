@@ -2,16 +2,14 @@
 //
 // The data-oriented constraint core stores every net's abstract signal as
 // four int64 planes — w0.lo / w0.hi / w1.lo / w1.hi, indexed by NetId —
-// using Time's sentinel encoding (kRawNegInf / kRawPosInf). This header is
-// the scalar reference implementation of the plane algebra; the level-sweep
-// kernels (constraints/level_kernel_impl.hpp) are lane-parallel transcripts
-// of exactly these functions, so simd and scalar paths narrow identically.
+// using Time's sentinel encoding (kRawNegInf / kRawPosInf). This header
+// holds the encoding and the few raw operations the planes' predicates
+// need; gate evaluation itself runs on AbstractSignal (project_gate).
 //
 // Plane invariant: a stored interval is always *canonical* — either
 // lo <= hi, or exactly the canonical empty (lo = +inf raw, hi = -inf raw).
-// Every function below that produces an interval canonicalises, so bitwise
-// plane equality coincides with LtInterval's semantic equality and the
-// kernels' changed-value tests are single integer compares.
+// `to_raw` canonicalises, so bitwise plane equality coincides with
+// LtInterval's semantic equality.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +34,11 @@ inline constexpr std::int64_t kEmptyHi = kNegInf;
   return (v == kNegInf || v == kPosInf) ? v : v + d;
 }
 
-[[nodiscard]] constexpr std::int64_t raw_min(std::int64_t a, std::int64_t b) {
-  return a < b ? a : b;
-}
 [[nodiscard]] constexpr std::int64_t raw_max(std::int64_t a, std::int64_t b) {
   return a > b ? a : b;
 }
 
-/// A raw interval pair, canonical by construction (see functions below).
+/// A raw interval pair.
 struct RawInterval {
   std::int64_t lo = kNegInf;
   std::int64_t hi = kPosInf;
@@ -52,25 +47,6 @@ struct RawInterval {
 };
 
 inline constexpr RawInterval kEmpty{kEmptyLo, kEmptyHi};
-inline constexpr RawInterval kTop{kNegInf, kPosInf};
-
-/// Canonicalises: any lo > hi collapses to the canonical empty.
-[[nodiscard]] constexpr RawInterval normalized(std::int64_t lo,
-                                               std::int64_t hi) {
-  return is_empty(lo, hi) ? kEmpty : RawInterval{lo, hi};
-}
-
-/// LtInterval::intersect on raw planes (canonical result).
-[[nodiscard]] constexpr RawInterval intersect(RawInterval a, RawInterval b) {
-  return normalized(raw_max(a.lo, b.lo), raw_min(a.hi, b.hi));
-}
-
-/// LtInterval::hull on raw planes (canonical result).
-[[nodiscard]] constexpr RawInterval hull(RawInterval a, RawInterval b) {
-  if (is_empty(a.lo, a.hi)) return normalized(b.lo, b.hi);
-  if (is_empty(b.lo, b.hi)) return a;
-  return {raw_min(a.lo, b.lo), raw_max(a.hi, b.hi)};
-}
 
 /// LtInterval::shift_forward: empty stays empty, bounds saturate.
 [[nodiscard]] constexpr RawInterval shift_forward(RawInterval a,
@@ -78,19 +54,6 @@ inline constexpr RawInterval kTop{kNegInf, kPosInf};
                                                   std::int64_t dmax) {
   if (is_empty(a.lo, a.hi)) return kEmpty;
   return {sat_add(a.lo, dmin), sat_add(a.hi, dmax)};
-}
-
-/// LtInterval::shift_backward (inverse image through the delay interval).
-[[nodiscard]] constexpr RawInterval shift_backward(RawInterval a,
-                                                   std::int64_t dmin,
-                                                   std::int64_t dmax) {
-  if (is_empty(a.lo, a.hi)) return kEmpty;
-  return {sat_add(a.lo, -dmax), sat_add(a.hi, -dmin)};
-}
-
-[[nodiscard]] constexpr bool intersects(RawInterval a, RawInterval b) {
-  return !is_empty(a.lo, a.hi) && !is_empty(b.lo, b.hi) &&
-         raw_max(a.lo, b.lo) <= raw_min(a.hi, b.hi);
 }
 
 /// Round-trips with LtInterval. A stored (canonical) plane value converts

@@ -129,7 +129,7 @@ TEST(BenchIo, RoundTripSuiteCircuitsAtScale) {
 
 TEST(BenchIo, ParseErrorCarriesLineNumber) {
   try {
-    read_bench_string("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n");
+    (void)read_bench_string("INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3);

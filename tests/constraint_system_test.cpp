@@ -1,5 +1,9 @@
 #include "constraints/constraint_system.hpp"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/telemetry.hpp"
@@ -306,6 +310,28 @@ TEST(ConstraintSystem, ImplicationTableOfUnusedLiteralIsEmpty) {
   EXPECT_TRUE(table.of(NetId{1u}, false).empty());  // below the last literal
   EXPECT_TRUE(table.of(NetId{9u}, true).empty());   // beyond any entry
   EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(ConstraintSystem, RejectsGateWiderThanProjectionLimit) {
+  // project_gate takes at most 32 inputs; a parsed netlist can hold wider
+  // gates, which the constructor must refuse rather than overrun.
+  for (const std::size_t fanin : {32u, 33u}) {
+    Circuit c("wide");
+    std::vector<NetId> ins;
+    for (std::size_t i = 0; i < fanin; ++i) {
+      ins.push_back(c.add_net("i" + std::to_string(i)));
+      c.declare_input(ins.back());
+    }
+    const NetId z = c.add_net("z");
+    c.add_gate(GateType::kAnd, z, ins, DelaySpec::fixed(5));
+    c.declare_output(z);
+    c.finalize();
+    if (fanin <= 32) {
+      EXPECT_NO_THROW(ConstraintSystem{c});
+    } else {
+      EXPECT_THROW(ConstraintSystem{c}, std::invalid_argument);
+    }
+  }
 }
 
 TEST(ConstraintSystem, StatsAdvance) {

@@ -227,6 +227,29 @@ TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
   EXPECT_GE(flight::stats().records, 1u);
 }
 
+TEST(FlightRecorder, NamelessEventRecordsAndDumps) {
+  // Most engine events carry no name. An empty string_view may have a null
+  // data(), which must never reach memcpy (UBSan rejects it even at size 0).
+  RecorderGuard guard;
+  flight::reset_for_test();
+  flight::set_enabled(true);
+  flight::record(flight::Kind::kConflict, {}, 0, 3);
+  EXPECT_EQ(flight::stats().records, 1u);
+
+  std::stringstream ss;
+  flight::dump(ss, "nameless_test");
+  explain::TraceReader reader(ss);
+  explain::TraceEvent ev;
+  std::size_t conflicts = 0;
+  while (reader.next(ev)) {
+    if (ev.ev != "conflict") continue;
+    ++conflicts;
+    EXPECT_EQ(ev.num("depth", -1), 3);
+  }
+  EXPECT_TRUE(reader.error().empty()) << reader.error();
+  EXPECT_EQ(conflicts, 1u);
+}
+
 TEST(FlightRecorder, BlackboxCooldownRateLimitsPerReason) {
   RecorderGuard guard;
   TempDir dir;

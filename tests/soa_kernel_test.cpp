@@ -1,13 +1,13 @@
-// SoA domain planes and level-sweep kernels: encoding round-trips,
-// sentinel saturation at the Time range edges, plane-predicate parity with
-// the AbstractSignal definitions, and simd/scalar narrowing equivalence.
+// SoA domain planes and level sweeps: encoding round-trips, sentinel
+// saturation at the Time range edges, plane-predicate parity with the
+// AbstractSignal definitions, and the engine's fixpoint against a naive
+// worklist over project_gate.
 #include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "constraints/constraint_system.hpp"
-#include "constraints/level_kernel.hpp"
 #include "constraints/projection.hpp"
 #include "constraints/soa_domain.hpp"
 #include "gen/generators.hpp"
@@ -130,21 +130,8 @@ TEST(SoaDomain, PredicatesMatchAbstractSignalDefinitions) {
   }
 }
 
-TEST(LevelKernel, DispatchReportsCompileAndCpuState) {
-  // Runtime dispatch is internally consistent whatever the host: enabled
-  // implies supported implies compiled, and the toggle round-trips.
-  if (simd_enabled()) EXPECT_TRUE(simd_supported());
-  if (simd_supported()) EXPECT_TRUE(simd_compiled());
-  const bool prior = simd_enabled();
-  set_simd_enabled(false);
-  EXPECT_FALSE(simd_enabled());
-  set_simd_enabled(true);
-  EXPECT_EQ(simd_enabled(), simd_supported());
-  set_simd_enabled(prior);
-}
-
 /// Naive worklist fixpoint straight over Gate objects and project_gate:
-/// the reference the batched engine must reproduce exactly.
+/// the reference the level-sweep engine must reproduce exactly.
 std::vector<AbstractSignal> reference_fixpoint(const Circuit& c) {
   std::vector<AbstractSignal> dom(c.num_nets(), AbstractSignal::top());
   for (NetId in : c.inputs()) {
@@ -212,17 +199,10 @@ TEST_P(KernelEquivalence, BatchedSweepMatchesNaiveWorklist) {
   const Circuit c = gen::structured_random_circuit(cfg);
   const auto ref = reference_fixpoint(c);
 
-  const bool prior = simd_enabled();
-  for (const bool simd : {false, true}) {
-    if (simd && !simd_supported()) continue;
-    set_simd_enabled(simd);
-    const auto got = engine_fixpoint(c);
-    for (NetId n : c.all_nets()) {
-      ASSERT_EQ(got[n.index()], ref[n.index()])
-          << (simd ? "simd" : "scalar") << " net " << c.net(n).name;
-    }
+  const auto got = engine_fixpoint(c);
+  for (NetId n : c.all_nets()) {
+    ASSERT_EQ(got[n.index()], ref[n.index()]) << "net " << c.net(n).name;
   }
-  set_simd_enabled(prior);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence,

@@ -87,7 +87,7 @@ TEST(VerilogIo, RejectsUnsupportedConstructs) {
 
 TEST(VerilogIo, ErrorsCarryLineNumbers) {
   try {
-    read_verilog_string(
+    (void)read_verilog_string(
         "module m (a, z);\ninput a;\noutput z;\nfrobnicate (z, a);\n"
         "endmodule\n");
     FAIL();
