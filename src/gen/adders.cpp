@@ -2,56 +2,21 @@
 #include <string>
 #include <vector>
 
+#include "gen/builder.hpp"
 #include "gen/generators.hpp"
 
 namespace waveck::gen {
-namespace {
-
-struct Builder {
-  Circuit c;
-  unsigned tmp = 0;
-
-  explicit Builder(std::string name) : c(std::move(name)) {}
-
-  NetId input(const std::string& n) {
-    const NetId id = c.add_net(n);
-    c.declare_input(id);
-    return id;
-  }
-  NetId fresh() { return c.add_net("t" + std::to_string(tmp++)); }
-  NetId op(GateType t, std::vector<NetId> ins) {
-    const NetId out = fresh();
-    c.add_gate(t, out, std::move(ins));
-    return out;
-  }
-  NetId named(GateType t, const std::string& name, std::vector<NetId> ins) {
-    const NetId out = c.add_net(name);
-    c.add_gate(t, out, std::move(ins));
-    return out;
-  }
-
-  /// Full adder; returns {sum, cout}.
-  std::pair<NetId, NetId> full_adder(NetId a, NetId b, NetId cin,
-                                     const std::string& sum_name) {
-    const NetId p = op(GateType::kXor, {a, b});
-    const NetId sum = named(GateType::kXor, sum_name, {p, cin});
-    const NetId g = op(GateType::kAnd, {a, b});
-    const NetId pc = op(GateType::kAnd, {p, cin});
-    const NetId cout = op(GateType::kOr, {g, pc});
-    return {sum, cout};
-  }
-};
-
-}  // namespace
+using detail::Builder;
+using detail::indexed;
 
 Circuit ripple_carry_adder(unsigned bits) {
-  Builder b("rca" + std::to_string(bits));
+  Builder b(indexed("rca", bits));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
   NetId carry = b.input("cin");
   for (unsigned i = 0; i < bits; ++i) {
-    auto [sum, cout] = b.full_adder(a[i], bb[i], carry, "s" + std::to_string(i));
+    auto [sum, cout] = b.full_adder(a[i], bb[i], carry, indexed("s", i));
     b.c.declare_output(sum);
     carry = cout;
   }
@@ -62,10 +27,10 @@ Circuit ripple_carry_adder(unsigned bits) {
 }
 
 Circuit carry_skip_adder(unsigned bits, unsigned block) {
-  Builder b("csa" + std::to_string(bits) + "x" + std::to_string(block));
+  Builder b(indexed(indexed("csa", bits) + "x", block));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
   NetId block_cin = b.input("cin");
 
   for (unsigned lo = 0; lo < bits; lo += block) {
@@ -76,7 +41,7 @@ Circuit carry_skip_adder(unsigned bits, unsigned block) {
       const NetId p = b.op(GateType::kXor, {a[i], bb[i]});
       props.push_back(p);
       const NetId sum =
-          b.named(GateType::kXor, "s" + std::to_string(i), {p, carry});
+          b.named(GateType::kXor, indexed("s", i), {p, carry});
       b.c.declare_output(sum);
       const NetId g = b.op(GateType::kAnd, {a[i], bb[i]});
       const NetId pc = b.op(GateType::kAnd, {p, carry});
@@ -92,7 +57,7 @@ Circuit carry_skip_adder(unsigned bits, unsigned block) {
     const NetId nbp = b.op(GateType::kNot, {bp});
     const NetId via_ripple = b.op(GateType::kAnd, {nbp, carry});
     const NetId via_skip = b.op(GateType::kAnd, {bp, block_cin});
-    block_cin = b.named(GateType::kOr, "bc" + std::to_string(hi),
+    block_cin = b.named(GateType::kOr, indexed("bc", hi),
                         {via_ripple, via_skip});
   }
   const NetId cout = b.named(GateType::kBuf, "cout", {block_cin});

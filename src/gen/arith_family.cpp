@@ -9,12 +9,13 @@
 namespace waveck::gen {
 
 using detail::Builder;
+using detail::indexed;
 
 Circuit carry_select_adder(unsigned bits, unsigned block) {
-  Builder b("csel" + std::to_string(bits) + "x" + std::to_string(block));
+  Builder b(indexed(indexed("csel", bits) + "x", block));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
   const NetId cin = b.input("cin");
   // A constant-0 / constant-1 pair for the speculative carry-ins.
   const NetId n0 = b.op(GateType::kAnd, {a[0], b.op(GateType::kNot, {a[0]})});
@@ -45,11 +46,11 @@ Circuit carry_select_adder(unsigned bits, unsigned block) {
     for (unsigned i = lo; i < hi; ++i) {
       const NetId sel =
           b.mux(block_cin, s0.sums[i - lo], s1.sums[i - lo]);
-      const NetId out = b.c.add_net("s" + std::to_string(i));
+      const NetId out = b.c.add_net(indexed("s", i));
       b.c.add_gate(GateType::kBuf, out, {sel});
       b.c.declare_output(out);
     }
-    block_cin = b.named(GateType::kBuf, "bc" + std::to_string(hi),
+    block_cin = b.named(GateType::kBuf, indexed("bc", hi),
                         {b.mux(block_cin, s0.cout, s1.cout)});
   }
   b.out(GateType::kBuf, "cout", {block_cin});
@@ -58,10 +59,10 @@ Circuit carry_select_adder(unsigned bits, unsigned block) {
 }
 
 Circuit kogge_stone_adder(unsigned bits) {
-  Builder b("ks" + std::to_string(bits));
+  Builder b(indexed("ks", bits));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
   const NetId cin = b.input("cin");
 
   // Bit-level generate/propagate; cin folded into stage-0 g of bit 0.
@@ -90,7 +91,7 @@ Circuit kogge_stone_adder(unsigned bits) {
   b.c.declare_output(s0);
   for (unsigned i = 1; i < bits; ++i) {
     const NetId sum =
-        b.named(GateType::kXor, "s" + std::to_string(i), {psum[i], g[i - 1]});
+        b.named(GateType::kXor, indexed("s", i), {psum[i], g[i - 1]});
     b.c.declare_output(sum);
   }
   b.out(GateType::kBuf, "cout", {g[bits - 1]});
@@ -99,10 +100,10 @@ Circuit kogge_stone_adder(unsigned bits) {
 }
 
 Circuit wallace_multiplier(unsigned bits) {
-  Builder b("wal" + std::to_string(bits) + "x" + std::to_string(bits));
+  Builder b(indexed(indexed("wal", bits) + "x", bits));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
 
   // Column-wise partial products.
   const unsigned cols = 2 * bits;
@@ -173,7 +174,7 @@ Circuit wallace_multiplier(unsigned bits) {
       have_co = true;
       have_carry = false;
     }
-    const NetId out = b.c.add_net("p" + std::to_string(k));
+    const NetId out = b.c.add_net(indexed("p", k));
     b.c.add_gate(GateType::kBuf, out, {s});
     b.c.declare_output(out);
     if (have_co) {

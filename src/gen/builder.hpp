@@ -3,12 +3,24 @@
 
 #include <cassert>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "netlist/circuit.hpp"
 
 namespace waveck::gen::detail {
+
+/// `prefix` followed by `i` in decimal, the one way generated names are
+/// built. It appends, where `"a" + std::to_string(i)` would prepend to the
+/// number's string: GCC 12 flags that prepend as an overlapping memcpy
+/// (-Wrestrict, a false positive). The names are the same bytes.
+template <typename Int>
+std::string indexed(std::string_view prefix, Int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
 
 struct Builder {
   Circuit c;
@@ -21,7 +33,7 @@ struct Builder {
     c.declare_input(id);
     return id;
   }
-  NetId fresh() { return c.add_net("t" + std::to_string(tmp++)); }
+  NetId fresh() { return c.add_net(indexed("t", tmp++)); }
   NetId op(GateType t, std::vector<NetId> ins) {
     const NetId out = fresh();
     c.add_gate(t, out, std::move(ins));
@@ -38,10 +50,14 @@ struct Builder {
     return o;
   }
 
-  /// Full adder; returns {sum, cout}.
-  std::pair<NetId, NetId> full_adder(NetId a, NetId b, NetId cin) {
+  /// Full adder; returns {sum, cout}. The sum net is named `sum_name` when
+  /// that is non-empty (fresh otherwise).
+  std::pair<NetId, NetId> full_adder(NetId a, NetId b, NetId cin,
+                                     const std::string& sum_name = {}) {
     const NetId p = op(GateType::kXor, {a, b});
-    const NetId s = op(GateType::kXor, {p, cin});
+    const NetId s = sum_name.empty()
+                        ? op(GateType::kXor, {p, cin})
+                        : named(GateType::kXor, sum_name, {p, cin});
     const NetId g = op(GateType::kAnd, {a, b});
     const NetId pc = op(GateType::kAnd, {p, cin});
     return {s, op(GateType::kOr, {g, pc})};

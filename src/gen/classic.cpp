@@ -3,10 +3,13 @@
 #include <string>
 #include <vector>
 
+#include "gen/builder.hpp"
 #include "gen/generators.hpp"
 #include "gen/rng.hpp"
 
 namespace waveck::gen {
+
+using detail::indexed;
 
 Circuit hrapcenko(std::int64_t gate_delay) {
   Circuit c("hrapcenko");
@@ -61,10 +64,10 @@ Circuit c17() {
 }
 
 Circuit parity_tree(unsigned inputs) {
-  Circuit c("parity" + std::to_string(inputs));
+  Circuit c(indexed("parity", inputs));
   std::vector<NetId> layer;
   for (unsigned i = 0; i < inputs; ++i) {
-    const NetId id = c.add_net("i" + std::to_string(i));
+    const NetId id = c.add_net(indexed("i", i));
     c.declare_input(id);
     layer.push_back(id);
   }
@@ -72,7 +75,7 @@ Circuit parity_tree(unsigned inputs) {
   while (layer.size() > 1) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-      const NetId t = c.add_net("x" + std::to_string(counter++));
+      const NetId t = c.add_net(indexed("x", counter++));
       c.add_gate(GateType::kXor, t, {layer[i], layer[i + 1]});
       next.push_back(t);
     }
@@ -86,10 +89,10 @@ Circuit parity_tree(unsigned inputs) {
 
 Circuit random_circuit(const RandomCircuitConfig& cfg) {
   Rng rng(cfg.seed);
-  Circuit c("rand" + std::to_string(cfg.seed));
+  Circuit c(indexed("rand", cfg.seed));
   std::vector<NetId> pool;
   for (unsigned i = 0; i < cfg.inputs; ++i) {
-    const NetId id = c.add_net("i" + std::to_string(i));
+    const NetId id = c.add_net(indexed("i", i));
     c.declare_input(id);
     pool.push_back(id);
   }
@@ -117,7 +120,7 @@ Circuit random_circuit(const RandomCircuitConfig& cfg) {
     for (std::size_t i = 0; i < fanin; ++i) {
       ins.push_back(pool[rng.below(pool.size())]);
     }
-    const NetId out = c.add_net("g" + std::to_string(g));
+    const NetId out = c.add_net(indexed("g", g));
     c.add_gate(t, out, std::move(ins), DelaySpec::fixed(1 + rng.below(10)));
     pool.push_back(out);
   }

@@ -11,13 +11,14 @@
 namespace waveck::gen {
 
 using detail::Builder;
+using detail::indexed;
 
 Circuit array_multiplier(unsigned bits, bool skip_final_adder) {
-  Builder b("mul" + std::to_string(bits) + "x" + std::to_string(bits) +
+  Builder b(indexed(indexed("mul", bits) + "x", bits) +
             (skip_final_adder ? "s" : ""));
   std::vector<NetId> a(bits), bb(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < bits; ++i) bb[i] = b.input(indexed("b", i));
 
   // Partial products pp[i][j] = a_i AND b_j contribute to column i+j.
   // Carry-save rows, then ripple the last row (the c6288 array topology).
@@ -54,7 +55,7 @@ Circuit array_multiplier(unsigned bits, bool skip_final_adder) {
     row = std::move(nrow);
     carry = std::move(ncarry);
     have_carry = true;
-    b.out(GateType::kBuf, "p" + std::to_string(i), {row[0]});
+    b.out(GateType::kBuf, indexed("p", i), {row[0]});
   }
 
   if (skip_final_adder) {
@@ -71,9 +72,9 @@ Circuit array_multiplier(unsigned bits, bool skip_final_adder) {
     NetId cout;
     const auto sums = b.carry_skip_core(x, y, zero, 4, &cout);
     for (unsigned k = 0; k + 1 < bits; ++k) {
-      b.out(GateType::kBuf, "p" + std::to_string(bits + k), {sums[k]});
+      b.out(GateType::kBuf, indexed("p", bits + k), {sums[k]});
     }
-    b.out(GateType::kBuf, "p" + std::to_string(2 * bits - 1), {cout});
+    b.out(GateType::kBuf, indexed("p", 2 * bits - 1), {cout});
     b.c.finalize();
     return b.c;
   }
@@ -101,7 +102,7 @@ Circuit array_multiplier(unsigned bits, bool skip_final_adder) {
       s = ss;
       co = cc;
     }
-    b.out(GateType::kBuf, "p" + std::to_string(bits - 1 + j), {s});
+    b.out(GateType::kBuf, indexed("p", bits - 1 + j), {s});
     if (co.valid()) {
       rc = co;
       have_rc = true;
@@ -110,7 +111,7 @@ Circuit array_multiplier(unsigned bits, bool skip_final_adder) {
     }
   }
   if (have_rc) {
-    b.out(GateType::kBuf, "p" + std::to_string(2 * bits - 1), {rc});
+    b.out(GateType::kBuf, indexed("p", 2 * bits - 1), {rc});
   }
   b.c.finalize();
   return b.c;
@@ -123,9 +124,9 @@ Circuit ecc_corrector(unsigned data, bool double_error_detect) {
   while ((1u << r) < data + r + 1) ++r;
 
   std::vector<NetId> d(data);
-  for (unsigned i = 0; i < data; ++i) d[i] = b.input("d" + std::to_string(i));
+  for (unsigned i = 0; i < data; ++i) d[i] = b.input(indexed("d", i));
   std::vector<NetId> chk(r);
-  for (unsigned i = 0; i < r; ++i) chk[i] = b.input("c" + std::to_string(i));
+  for (unsigned i = 0; i < r; ++i) chk[i] = b.input(indexed("c", i));
   NetId overall;
   if (double_error_detect) overall = b.input("cp");
 
@@ -161,7 +162,7 @@ Circuit ecc_corrector(unsigned data, bool double_error_detect) {
       match.push_back((pos[i] & (1u << k)) ? synd[k] : nsynd[k]);
     }
     const NetId hit = b.op(GateType::kAnd, std::move(match));
-    b.out(GateType::kXor, "o" + std::to_string(i), {d[i], hit});
+    b.out(GateType::kXor, indexed("o", i), {d[i], hit});
   }
 
   if (double_error_detect) {
@@ -180,11 +181,11 @@ Circuit ecc_corrector(unsigned data, bool double_error_detect) {
 }
 
 Circuit alu(const AluConfig& cfg) {
-  Builder b("alu" + std::to_string(cfg.width));
+  Builder b(indexed("alu", cfg.width));
   const unsigned w = cfg.width;
   std::vector<NetId> a(w), bb(w);
-  for (unsigned i = 0; i < w; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < w; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < w; ++i) a[i] = b.input(indexed("a", i));
+  for (unsigned i = 0; i < w; ++i) bb[i] = b.input(indexed("b", i));
   const NetId op0 = b.input("op0");
   const NetId op1 = b.input("op1");
   const NetId sub = cfg.with_subtract ? b.input("sub") : NetId{};
@@ -234,7 +235,7 @@ Circuit alu(const AluConfig& cfg) {
     const NetId m1 = b.op(GateType::kAnd, {sel_and, andv});
     const NetId m2 = b.op(GateType::kAnd, {sel_or, orv});
     const NetId m3 = b.op(GateType::kAnd, {sel_xor, xorv});
-    res[i] = b.out(GateType::kOr, "r" + std::to_string(i), {m0, m1, m2, m3});
+    res[i] = b.out(GateType::kOr, indexed("r", i), {m0, m1, m2, m3});
   }
 
   if (cfg.with_flags) {
@@ -253,18 +254,18 @@ Circuit alu(const AluConfig& cfg) {
 }
 
 Circuit priority_controller(unsigned lines) {
-  Builder b("prio3x" + std::to_string(lines));
+  Builder b(indexed("prio3x", lines));
   constexpr unsigned kBuses = 3;
   std::vector<std::vector<NetId>> req(kBuses, std::vector<NetId>(lines));
   std::vector<std::vector<NetId>> en(kBuses, std::vector<NetId>(lines));
   for (unsigned bus = 0; bus < kBuses; ++bus) {
     for (unsigned l = 0; l < lines; ++l) {
       req[bus][l] =
-          b.input("r" + std::to_string(bus) + "_" + std::to_string(l));
+          b.input(indexed(indexed("r", bus) + "_", l));
     }
   }
   for (unsigned l = 0; l < lines; ++l) {
-    en[0][l] = b.input("e" + std::to_string(l));
+    en[0][l] = b.input(indexed("e", l));
   }
 
   // Bus activity: any enabled request on the bus (c432's first XOR/NOR
@@ -299,7 +300,7 @@ Circuit priority_controller(unsigned lines) {
         terms.push_back(b.op(GateType::kNot, {blocked}));
       }
       b.out(GateType::kAnd,
-            "g" + std::to_string(bus) + "_" + std::to_string(l),
+            indexed(indexed("g", bus) + "_", l),
             std::move(terms));
       blocked = have_blocked ? b.op(GateType::kOr, {blocked, req[bus][l]})
                              : req[bus][l];
@@ -311,13 +312,13 @@ Circuit priority_controller(unsigned lines) {
 }
 
 Circuit adder_comparator(unsigned width) {
-  Builder b("addcmp" + std::to_string(width));
+  Builder b(indexed("addcmp", width));
   std::vector<NetId> a(width), bb(width);
   for (unsigned i = 0; i < width; ++i) {
-    a[i] = b.input("a" + std::to_string(i));
+    a[i] = b.input(indexed("a", i));
   }
   for (unsigned i = 0; i < width; ++i) {
-    bb[i] = b.input("b" + std::to_string(i));
+    bb[i] = b.input(indexed("b", i));
   }
   const NetId cin = b.input("cin");
 

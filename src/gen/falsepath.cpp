@@ -1,10 +1,13 @@
 // Appendable false-path blocks (see generators.hpp for the taxonomy).
 #include <string>
 
+#include "gen/builder.hpp"
 #include "gen/generators.hpp"
 #include "netlist/topo_delay.hpp"
 
 namespace waveck::gen {
+
+using detail::indexed;
 namespace {
 
 class Appender {
@@ -14,7 +17,7 @@ class Appender {
 
   NetId op(GateType t, std::vector<NetId> ins) {
     const NetId out =
-        c_.add_net(prefix_ + "_" + std::to_string(counter_++));
+        c_.add_net(indexed(prefix_ + "_", counter_++));
     c_.add_gate(t, out, std::move(ins));
     return out;
   }

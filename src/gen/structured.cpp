@@ -7,10 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "gen/builder.hpp"
 #include "gen/generators.hpp"
 #include "gen/rng.hpp"
 
 namespace waveck::gen {
+
+using detail::indexed;
 namespace {
 
 struct WeightedType {
@@ -32,12 +35,12 @@ GateType pick_type(Rng& rng, const std::vector<WeightedType>& mix,
 
 Circuit structured_random_circuit(const StructuredCircuitConfig& cfg) {
   Rng rng(cfg.seed);
-  Circuit c("sfuzz" + std::to_string(cfg.seed));
+  Circuit c(indexed("sfuzz", cfg.seed));
 
   std::vector<NetId> pool;
   pool.reserve(cfg.inputs + cfg.gates);
   for (unsigned i = 0; i < cfg.inputs; ++i) {
-    const NetId id = c.add_net("i" + std::to_string(i));
+    const NetId id = c.add_net(indexed("i", i));
     c.declare_input(id);
     pool.push_back(id);
   }
@@ -99,7 +102,7 @@ Circuit structured_random_circuit(const StructuredCircuitConfig& cfg) {
       }
       ins.push_back(pick);
     }
-    const NetId out = c.add_net("g" + std::to_string(g));
+    const NetId out = c.add_net(indexed("g", g));
     c.add_gate(t, out, std::move(ins));
     pool.push_back(out);
   }
@@ -116,7 +119,7 @@ Circuit structured_random_circuit(const StructuredCircuitConfig& cfg) {
       FalsePathKind::kStemContradiction};
   for (unsigned b = 0; b < cfg.false_path_blocks; ++b) {
     append_false_path_block(c, kKinds[b % 3], cfg.false_path_stages,
-                            "fp" + std::to_string(b));
+                            indexed("fp", b));
   }
 
   // Randomized per-gate delay annotation, after the false-path blocks so

@@ -7,7 +7,15 @@ namespace waveck {
 
 std::string LtInterval::str() const {
   if (is_empty()) return "phi";
-  return "[" + lmin.str() + "," + max.str() + "]";
+  // Appended piece by piece: `"[" + lmin.str()` prepends to a temporary,
+  // which GCC 12 flags as an overlapping memcpy (-Wrestrict, a false
+  // positive).
+  std::string s = "[";
+  s += lmin.str();
+  s += ',';
+  s += max.str();
+  s += ']';
+  return s;
 }
 
 std::ostream& operator<<(std::ostream& os, const LtInterval& i) {
