@@ -7,21 +7,9 @@
 
 namespace waveck {
 
-namespace {
-void flight_cache(std::uint8_t kind_code) {
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kCache, {}, 0, 0, kind_code);
-  }
-}
-}  // namespace
-
 CarrierCache::CarrierCache(ConstraintSystem& cs, const TimingCheck& check)
     : cs_(cs),
-      check_(check),
-      ctr_hits_(telemetry::Registry::current().counter("cache.hits")),
-      ctr_misses_(telemetry::Registry::current().counter("cache.misses")),
-      ctr_dom_rebuilds_(
-          telemetry::Registry::current().counter("cache.dom_rebuilds")) {
+      check_(check) {
   cs_.enable_change_log();
   const Circuit& c = cs_.circuit();
   order_.reserve(c.num_nets());
@@ -132,19 +120,11 @@ void CarrierCache::sync() {
     rebuild_full();
     built_ = true;
     synced_gen_ = gen;
-    ctr_misses_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "miss"}});
-    }
-    flight_cache(flight::kCacheMiss);
+    probe::cache(counters_, flight::kCacheMiss);
     return;
   }
   if (synced_gen_ == gen) {
-    ctr_hits_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "hit"}});
-    }
-    flight_cache(flight::kCacheHit);
+    probe::cache(counters_, flight::kCacheHit);
     return;
   }
   // A domain change matters only if it flips the Def. 7 status under the
@@ -158,18 +138,10 @@ void CarrierCache::sync() {
   });
   synced_gen_ = gen;
   if (flips_.empty()) {
-    ctr_hits_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "hit"}});
-    }
-    flight_cache(flight::kCacheHit);
+    probe::cache(counters_, flight::kCacheHit);
     return;
   }
-  ctr_misses_.inc();
-  if (telemetry::trace_enabled()) {
-    telemetry::emit("cache", {{"kind", "miss"}});
-  }
-  flight_cache(flight::kCacheMiss);
+  probe::cache(counters_, flight::kCacheMiss);
   rebuild_cone();
 }
 
@@ -189,11 +161,7 @@ const std::vector<NetId>& CarrierCache::dominators() {
   if (!doms_valid_) {
     doms_ = timing_dominators(cs_.circuit(), check_, set_, dom_scratch_);
     doms_valid_ = true;
-    ctr_dom_rebuilds_.inc();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("cache", {{"kind", "dom_rebuild"}});
-    }
-    flight_cache(flight::kCacheDomRebuild);
+    probe::cache(counters_, flight::kCacheDomRebuild);
   }
   return doms_;
 }

@@ -30,8 +30,8 @@
 
 #include "analysis/carriers.hpp"
 #include "common/ids.hpp"
-#include "common/telemetry.hpp"
 #include "constraints/constraint_system.hpp"
+#include "prof/probe.hpp"
 
 namespace waveck {
 
@@ -94,9 +94,7 @@ class CarrierCache {
   CarrierSet bottom_set_;
   std::vector<NetId> empty_doms_;
 
-  telemetry::Counter& ctr_hits_;
-  telemetry::Counter& ctr_misses_;
-  telemetry::Counter& ctr_dom_rebuilds_;
+  probe::CacheCounters counters_;
 };
 
 /// Corollary 1 round backed by the cache; `cache == nullptr` falls back to

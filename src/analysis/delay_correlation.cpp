@@ -3,7 +3,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/telemetry.hpp"
+#include "prof/probe.hpp"
 
 namespace waveck {
 namespace {
@@ -87,9 +87,7 @@ Window delay_window(const ConstraintSystem& cs, const Gate& g) {
 
 DelayCorrelationStats apply_delay_correlation(ConstraintSystem& cs,
                                               Circuit& c) {
-  auto& reg = telemetry::Registry::current();
-  auto& ctr_rounds = reg.counter("delay_corr.rounds");
-  auto& ctr_gates = reg.counter("delay_corr.gates_narrowed");
+  probe::DelayCorrCounters k;
 
   DelayCorrelationStats stats;
   if (cs.inconsistent()) {
@@ -162,13 +160,8 @@ DelayCorrelationStats apply_delay_correlation(ConstraintSystem& cs,
       return stats;
     }
     if (changed == 0) break;
-    ctr_rounds.inc();
     stats.gates_narrowed += changed;
-    ctr_gates.add(changed);
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("delay_corr_round",
-                      {{"round", stats.rounds}, {"gates_narrowed", changed}});
-    }
+    probe::delay_corr_round(k, stats.rounds, changed);
     if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
       stats.proved_no_violation = true;
       return stats;

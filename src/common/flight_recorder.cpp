@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -126,6 +127,33 @@ void reset_for_test() {
   }
 }
 
+namespace {
+/// Codes index their table; an unknown code renders as "?".
+template <std::size_t N>
+const char* name_of(const char* const (&names)[N], std::uint8_t code) {
+  return code < N ? names[code] : "?";
+}
+}  // namespace
+
+const char* conclusion_str(std::uint8_t code) {
+  return name_of({"N", "V", "A", "P"}, code);
+}
+const char* stage_status_str(std::uint8_t code) {
+  return name_of({"-", "P", "N", "V", "A"}, code);
+}
+const char* outcome_str(std::uint8_t code) {
+  return name_of({"exhausted", "witness", "abandoned", "truncated"}, code);
+}
+const char* cache_kind_str(std::uint8_t code) {
+  return name_of({"hit", "miss", "dom_rebuild"}, code);
+}
+const char* propagate_status_str(std::uint8_t code) {
+  return name_of({"N", "P"}, code);
+}
+const char* stem_outcome_str(std::uint8_t code) {
+  return name_of({"refuted", "one_sided", "both"}, code);
+}
+
 // ---------------------------------------------------------------------------
 // Rendering. One shared formatter serves both the sanitizing ostream writer
 // and the async-signal-safe fd writer: everything below formats into a
@@ -195,6 +223,7 @@ struct Buf {
     key(k);
     jstr(s, n);
   }
+  void key_cstr(const char* k, const char* s) { key_str(k, s, std::strlen(s)); }
   void key_i64(const char* k, std::int64_t v) {
     key(k);
     i64(v);
@@ -219,48 +248,24 @@ struct Buf {
   }
 };
 
-const char* conclusion_str(std::uint8_t code) {
-  switch (code) {
-    case kConclusionN: return "N";
-    case kConclusionV: return "V";
-    case kConclusionA: return "A";
-    case kConclusionP: return "P";
-  }
-  return "?";
-}
-
-const char* stage_status_str(std::uint8_t code) {
-  switch (code) {
-    case kStageNotRun: return "-";
-    case kStagePossible: return "P";
-    case kStageNoViolation: return "N";
-  }
-  return "?";
-}
-
-const char* outcome_str(std::uint8_t code) {
-  switch (code) {
-    case kOutcomeExhausted: return "exhausted";
-    case kOutcomeWitness: return "witness";
-    case kOutcomeAbandoned: return "abandoned";
-    case kOutcomeTruncated: return "truncated";
-  }
-  return "?";
-}
-
-const char* cache_kind_str(std::uint8_t code) {
-  switch (code) {
-    case kCacheHit: return "hit";
-    case kCacheMiss: return "miss";
-    case kCacheDomRebuild: return "dom_rebuild";
-  }
-  return "?";
-}
-
 std::size_t name_len(const Record& r) {
   std::size_t n = 0;
   while (n < kNameCap && r.name[n] != '\0') ++n;
   return n;
+}
+
+/// Trace event name of each Kind, in declaration order.
+constexpr const char* kEventNames[] = {
+    "",          "check_begin",    "check_end",       "stage_begin",
+    "stage_end", "decision",       "decision_close",  "backtrack",
+    "conflict",  "spurious_vector", "propagate",      "cache",
+    "gitd_round", "stem",          "serve_request",   "serve_response",
+    "serve_batch", "mark"};
+static_assert(std::size(kEventNames) ==
+              static_cast<std::size_t>(Kind::kMaxKind) + 1);
+
+bool valid_kind(std::uint8_t k) {
+  return k > 0 && k <= static_cast<std::uint8_t>(Kind::kMaxKind);
 }
 
 /// Renders one record as a trace-schema JSONL line (with trailing newline).
@@ -268,31 +273,11 @@ std::size_t name_len(const Record& r) {
 /// bytes written to `out` (at most `cap`); async-signal-safe.
 std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
                           char* out, std::size_t cap) {
+  if (!valid_kind(r.kind)) return 0;  // torn or unwritten slot
   const auto kind = static_cast<Kind>(r.kind);
-  const char* ev = nullptr;
-  switch (kind) {
-    case Kind::kCheckBegin: ev = "check_begin"; break;
-    case Kind::kCheckEnd: ev = "check_end"; break;
-    case Kind::kStageBegin: ev = "stage_begin"; break;
-    case Kind::kStageEnd: ev = "stage_end"; break;
-    case Kind::kDecision: ev = "decision"; break;
-    case Kind::kDecisionClose: ev = "decision_close"; break;
-    case Kind::kBacktrack: ev = "backtrack"; break;
-    case Kind::kConflict: ev = "conflict"; break;
-    case Kind::kSpurious: ev = "spurious_vector"; break;
-    case Kind::kPropagate: ev = "propagate"; break;
-    case Kind::kCache: ev = "cache"; break;
-    case Kind::kGitdRound: ev = "gitd_round"; break;
-    case Kind::kStem: ev = "stem"; break;
-    case Kind::kServeRequest: ev = "serve_request"; break;
-    case Kind::kServeResponse: ev = "serve_response"; break;
-    case Kind::kServeBatch: ev = "serve_batch"; break;
-    case Kind::kMark: ev = "mark"; break;
-    default: return 0;  // torn or unwritten slot
-  }
   Buf b{out, out + cap};
   b.lit("{\"ev\":\"");
-  b.lit(ev);
+  b.lit(kEventNames[r.kind]);
   b.lit("\",\"seq\":");
   b.u64(seq);
   b.lit(",\"t\":");
@@ -309,30 +294,25 @@ std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
       break;
     case Kind::kCheckEnd:
       b.key_str("output", r.name, nl);
-      b.key("conclusion");
-      b.jstr(conclusion_str(r.aux), std::strlen(conclusion_str(r.aux)));
+      b.key_cstr("conclusion", conclusion_str(r.aux));
       b.key_seconds("seconds", r.a);
       break;
     case Kind::kStageBegin:
       b.key_str("stage", r.name, nl);
       break;
-    case Kind::kStageEnd: {
+    case Kind::kStageEnd:
       b.key_str("stage", r.name, nl);
-      const char* st = stage_status_str(r.aux);
-      b.key_str("status", st, std::strlen(st));
+      b.key_cstr("status", stage_status_str(r.aux));
       break;
-    }
     case Kind::kDecision:
       b.key_i64("parent", r.a);
       b.key_str("net", r.name, nl);
       b.key_bool("cls", r.aux != 0);
       b.key_i64("depth", r.b);
       break;
-    case Kind::kDecisionClose: {
-      const char* oc = outcome_str(r.aux);
-      b.key_str("outcome", oc, std::strlen(oc));
+    case Kind::kDecisionClose:
+      b.key_cstr("outcome", outcome_str(r.aux));
       break;
-    }
     case Kind::kBacktrack:
       b.key_str("net", r.name, nl);
       b.key_bool("cls", r.aux != 0);
@@ -345,13 +325,11 @@ std::size_t format_record(const Record& r, std::uint64_t seq, std::uint64_t t0,
     case Kind::kPropagate:
       b.key_i64("applications", r.a);
       b.key_i64("revisions", r.b);
-      b.key_str("status", r.aux != 0 ? "P" : "N", 1);
+      b.key_cstr("status", propagate_status_str(r.aux));
       break;
-    case Kind::kCache: {
-      const char* ck = cache_kind_str(r.aux);
-      b.key_str("kind", ck, std::strlen(ck));
+    case Kind::kCache:
+      b.key_cstr("kind", cache_kind_str(r.aux));
       break;
-    }
     case Kind::kGitdRound:
       b.key_i64("narrowed", r.a);
       break;
@@ -393,10 +371,6 @@ std::size_t format_header(std::string_view reason, std::uint64_t rings,
   b.key_i64("dropped", static_cast<std::int64_t>(dropped));
   b.lit("}\n");
   return static_cast<std::size_t>(b.p - out);
-}
-
-bool valid_kind(std::uint8_t k) {
-  return k > 0 && k <= static_cast<std::uint8_t>(Kind::kMaxKind);
 }
 
 }  // namespace

@@ -43,10 +43,10 @@ enum class Kind : std::uint8_t {
   kBacktrack,      // backtrack     name=net        b=depth aux=cls
   kConflict,       // conflict                      b=depth
   kSpurious,       // spurious_vector               b=depth
-  kPropagate,      // propagate     a=applications  b=revisions aux=consistent
+  kPropagate,      // propagate     a=applications  b=revisions aux=status
   kCache,          // cache                         aux=0 hit / 1 miss / 2 dom
   kGitdRound,      // gitd_round    a=narrowed
-  kStem,           // stem          name=net
+  kStem,           // stem          name=net        a=narrowed aux=outcome
   kServeRequest,   // serve_request name=op         a=queue depth after
   kServeResponse,  // serve_response name=op/error  a=bytes aux=ok
   kServeBatch,     // serve_batch   name=circuit    a=group size b=unique runs
@@ -54,9 +54,11 @@ enum class Kind : std::uint8_t {
   kMaxKind = kMark,
 };
 
-// Conclusion / status / outcome codes carried in Record::aux. These mirror
-// the engine's to_string tables (verifier.hpp) so the dump renders the
-// exact strings the analyzer expects, without common/ depending on verify/.
+// Event codes carried in Record::aux and taken by the engine probes
+// (prof/probe.hpp). Each family counts from 0 and indexes its *_str table,
+// which renders both the trace and the dump without common/ depending on
+// verify/. Conclusion and stage-status codes follow the declaration order of
+// CheckConclusion and StageStatus (verifier.hpp asserts it).
 inline constexpr std::uint8_t kConclusionN = 0;  // "N"
 inline constexpr std::uint8_t kConclusionV = 1;  // "V"
 inline constexpr std::uint8_t kConclusionA = 2;  // "A"
@@ -64,6 +66,10 @@ inline constexpr std::uint8_t kConclusionP = 3;  // "P"
 inline constexpr std::uint8_t kStageNotRun = 0;     // "-"
 inline constexpr std::uint8_t kStagePossible = 1;   // "P"
 inline constexpr std::uint8_t kStageNoViolation = 2;  // "N"
+// The case-analysis stage ends with its check's verdict. Records store
+// these two as kStageNotRun, so dumps render them "-".
+inline constexpr std::uint8_t kStageViolation = 3;  // "V"
+inline constexpr std::uint8_t kStageAbandoned = 4;  // "A"
 inline constexpr std::uint8_t kOutcomeExhausted = 0;
 inline constexpr std::uint8_t kOutcomeWitness = 1;
 inline constexpr std::uint8_t kOutcomeAbandoned = 2;
@@ -71,6 +77,20 @@ inline constexpr std::uint8_t kOutcomeTruncated = 3;  // synthetic (dump tail)
 inline constexpr std::uint8_t kCacheHit = 0;
 inline constexpr std::uint8_t kCacheMiss = 1;
 inline constexpr std::uint8_t kCacheDomRebuild = 2;
+inline constexpr std::uint8_t kPropagateNoViolation = 0;  // "N"
+inline constexpr std::uint8_t kPropagatePossible = 1;     // "P"
+// Stem outcomes reach the trace; dumps render only the stem's net.
+inline constexpr std::uint8_t kStemRefuted = 0;
+inline constexpr std::uint8_t kStemOneSided = 1;
+inline constexpr std::uint8_t kStemBoth = 2;
+
+/// Code -> string tables: the only ones in the tree ("?" for unknown codes).
+[[nodiscard]] const char* conclusion_str(std::uint8_t code);
+[[nodiscard]] const char* stage_status_str(std::uint8_t code);
+[[nodiscard]] const char* outcome_str(std::uint8_t code);
+[[nodiscard]] const char* cache_kind_str(std::uint8_t code);
+[[nodiscard]] const char* propagate_status_str(std::uint8_t code);
+[[nodiscard]] const char* stem_outcome_str(std::uint8_t code);
 
 /// Bytes of name payload a record can carry (longer names are truncated;
 /// the name is stored inline so a record stays valid after the string it

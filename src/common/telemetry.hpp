@@ -3,10 +3,10 @@
 // histograms) plus a pluggable TraceSink streaming structured JSONL events.
 //
 // Design constraints (see doc/OBSERVABILITY.md):
-//  * Near-zero cost when no trace sink is installed: every emission site
-//    guards on `trace_enabled()` (a single pointer load + branch) before
-//    constructing any event field, so the disabled path neither allocates
-//    nor formats.
+//  * Near-zero cost when no trace sink is installed: an emission site
+//    whose fields cost anything guards on `trace_enabled()` (a single
+//    pointer load + branch), so the disabled path neither allocates nor
+//    formats. Engine events go through one probe each (prof/probe.hpp).
 //  * Metric updates are relaxed atomic integer arithmetic on storage cached
 //    by the hot objects (ConstraintSystem caches references at
 //    construction); registry map lookups happen once per object/stage,
@@ -450,12 +450,13 @@ void set_trace_sink(TraceSink* sink);
 [[nodiscard]] int worker_id();
 void set_worker_id(int id);
 
-/// Position marks for the sampling profiler (src/prof): the verifier stamps
-/// the current check's output name and pipeline stage into thread-local
-/// slots, and the SIGPROF handler reads them back to annotate each captured
-/// stack. Stored as lock-free atomics so the read is async-signal-safe; the
-/// pointed-to strings must outlive the mark (stage names are literals, the
-/// check mark borrows the Circuit's net name). nullptr = no mark.
+/// Position marks for the sampling profiler (src/prof): the check and stage
+/// probes stamp the current check's output name and pipeline stage into
+/// thread-local slots, and the SIGPROF handler reads them back to annotate
+/// each captured stack. Stored as lock-free atomics so the read is
+/// async-signal-safe; the pointed-to strings must outlive the mark (stage
+/// names are literals, the check mark is interned by prof::intern_mark).
+/// nullptr = no mark.
 [[nodiscard]] const char* stage_mark();
 void set_stage_mark(const char* stage);
 [[nodiscard]] const char* check_mark();

@@ -4,9 +4,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "common/flight_recorder.hpp"
 #include "constraints/projection.hpp"
-#include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
 
 namespace waveck {
@@ -15,45 +13,7 @@ ConstraintSystem::ConstraintSystem(const Circuit& circuit)
     : circuit_(circuit),
       domains_(circuit.num_nets()),
       gate_level_(circuit.num_gates(), 0),
-      save_epoch_(circuit.num_nets(), 0),
-      ctr_fixpoints_(telemetry::Registry::current().counter("engine.fixpoints")),
-      ctr_applications_(
-          telemetry::Registry::current().counter("engine.applications")),
-      ctr_narrowings_(
-          telemetry::Registry::current().counter("engine.narrowings")),
-      ctr_conflicts_(telemetry::Registry::current().counter("engine.conflicts")),
-      ctr_implication_scans_(
-          telemetry::Registry::current().counter("engine.implication_scans")),
-      ctr_implication_narrowings_(telemetry::Registry::current().counter(
-          "engine.implication_narrowings")),
-      ctr_gate_evals_(
-          telemetry::Registry::current().counter("fixpoint.gate_evals")),
-      ctr_level_sweeps_(
-          telemetry::Registry::current().counter("fixpoint.level_sweeps")),
-      ctr_perf_cycles_(
-          telemetry::Registry::current().counter("perf.fixpoint.cycles")),
-      ctr_perf_instructions_(telemetry::Registry::current().counter(
-          "perf.fixpoint.instructions")),
-      ctr_perf_cache_refs_(telemetry::Registry::current().counter(
-          "perf.fixpoint.cache_references")),
-      ctr_perf_cache_misses_(telemetry::Registry::current().counter(
-          "perf.fixpoint.cache_misses")),
-      ctr_perf_branch_misses_(telemetry::Registry::current().counter(
-          "perf.fixpoint.branch_misses")),
-      ctr_perf_wall_ns_(
-          telemetry::Registry::current().counter("perf.fixpoint.wall_ns")),
-      ctr_perf_sections_(
-          telemetry::Registry::current().counter("perf.fixpoint.sections")),
-      h_fixpoint_narrowings_(telemetry::Registry::current().histogram(
-          "engine.fixpoint_narrowings")),
-      lh_queue_depth_(
-          telemetry::Registry::current().histogram("engine.queue_depth")),
-      lh_narrowing_magnitude_(telemetry::Registry::current().histogram(
-          "engine.narrowing_magnitude")),
-      g_trail_depth_(telemetry::Registry::current().gauge("engine.trail_depth")),
-      g_queue_depth_(telemetry::Registry::current().gauge("engine.queue_depth")),
-      g_arena_bytes_(
-          telemetry::Registry::current().gauge("engine.arena_bytes")) {
+      save_epoch_(circuit.num_nets(), 0) {
   // Longest-path gate levels: level(g) = 1 + max level over driven inputs.
   for (GateId g : circuit.topo_order()) {
     if (circuit.gate(g).ins.size() > gate_ins_.size()) {
@@ -102,19 +62,19 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value,
   log_change(n);
   if (nd.is_bottom() && !was_bottom) {
     ++bottom_count_;
-    ctr_conflicts_.inc();
+    fixpoint_.conflicts.inc();
   }
 
   // Magnitude of the tightening of the latest-transition bound; an infinite
   // jump (top -> finite, or a class emptying) lands in the overflow bucket.
   const Time new_latest = nd.latest();
   if (old_latest == new_latest) {
-    lh_narrowing_magnitude_.observe(0);
+    fixpoint_.narrowing_magnitude.observe(0);
   } else if (old_latest.is_finite() && new_latest.is_finite()) {
-    lh_narrowing_magnitude_.observe(
+    fixpoint_.narrowing_magnitude.observe(
         static_cast<std::uint64_t>(old_latest.value() - new_latest.value()));
   } else {
-    lh_narrowing_magnitude_.observe(
+    fixpoint_.narrowing_magnitude.observe(
         telemetry::Histogram::bucket_lower_bound(
             telemetry::Histogram::kBuckets - 1));
   }
@@ -124,13 +84,13 @@ void ConstraintSystem::commit_domain(NetId n, const AbstractSignal& value,
   if (implications_ != nullptr && !nd.is_bottom() && nd.single_class() &&
       !was_single) {
     const auto consequences = implications_->of(n, nd.the_class());
-    ctr_implication_scans_.add(consequences.size());
+    fixpoint_.implication_scans.add(consequences.size());
     for (const auto& [x, w] : consequences) {
       // Class !w already empty (bottom included): intersecting x with
       // class_only(w) changes nothing, so the commit would return untouched.
       // Skip it straight off the planes.
       if (domains_.cls_empty(x.index(), w ? 0 : 1)) continue;
-      ctr_implication_narrowings_.inc();
+      fixpoint_.implication_narrowings.inc();
       commit_domain(x, AbstractSignal::class_only(w), GateId{});
     }
   }
@@ -212,7 +172,7 @@ bool ConstraintSystem::sweep_level(std::size_t lv,
   slot_queued_.for_each_set_in_range(sb, se, [&](std::size_t s) {
     sweep_slots_.push_back(static_cast<std::uint32_t>(s));
     // Wave width at this drain step (the popped gate included).
-    lh_queue_depth_.observe(queue_size_);
+    fixpoint_.queue_depth.observe(queue_size_);
     if (queue_size_ > peak_queue) peak_queue = queue_size_;
     --queue_size_;
   });
@@ -278,50 +238,15 @@ ConstraintSystem::Status ConstraintSystem::reach_fixpoint() {
     }
   }
 
-  ctr_fixpoints_.inc();
-  ctr_applications_.add(applications_ - apps0);
-  ctr_gate_evals_.add(applications_ - apps0);
-  ctr_narrowings_.add(narrowings_ - nar0);
-  ctr_level_sweeps_.add(sweeps);
+  prof::CounterDelta perf;
   if (perf_on) {
-    const prof::CounterDelta d =
-        prof::delta_between(perf0, prof::thread_counter_group().read());
-    ctr_perf_cycles_.add(d.cycles);
-    ctr_perf_instructions_.add(d.instructions);
-    ctr_perf_cache_refs_.add(d.cache_references);
-    ctr_perf_cache_misses_.add(d.cache_misses);
-    ctr_perf_branch_misses_.add(d.branch_misses);
-    ctr_perf_wall_ns_.add(d.wall_ns);
-    ctr_perf_sections_.inc();
+    perf = prof::delta_between(perf0, prof::thread_counter_group().read());
   }
-  // Liveness tick for the --progress monitor: gate evaluations are the
-  // engine's finest-grained forward-progress unit (+1 so even an empty
-  // drain counts as life).
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::tick(applications_ - apps0 + 1);
-  }
-  h_fixpoint_narrowings_.observe(narrowings_ - nar0);
-  lh_queue_depth_.flush();
-  lh_narrowing_magnitude_.flush();
-  // High-water gauges, once per fixpoint: their `max` accumulates the
-  // whole-run peak even though `value` is only the latest observation.
-  g_trail_depth_.set(static_cast<std::int64_t>(trail_.size()));
-  g_queue_depth_.set(static_cast<std::int64_t>(peak_queue));
-  g_arena_bytes_.set(static_cast<std::int64_t>(arena_bytes()));
-  if (telemetry::trace_enabled()) {
-    telemetry::emit(
-        "propagate",
-        {{"queue", depth0},
-         {"applications", applications_ - apps0},
-         {"revisions", narrowings_ - nar0},
-         {"status", status == Status::kNoViolation ? "N" : "P"}});
-  }
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kPropagate, {},
-                   static_cast<std::int64_t>(applications_ - apps0),
-                   static_cast<std::int64_t>(narrowings_ - nar0),
-                   status == Status::kNoViolation ? 0 : 1);
-  }
+  probe::propagate(fixpoint_, {depth0, applications_ - apps0,
+                               narrowings_ - nar0, sweeps,
+                               status != Status::kNoViolation, trail_.size(),
+                               peak_queue, arena_bytes(),
+                               perf_on ? &perf : nullptr});
   return status;
 }
 

@@ -35,6 +35,7 @@
 #include "constraints/level_kernel.hpp"
 #include "constraints/soa_domain.hpp"
 #include "netlist/circuit.hpp"
+#include "prof/probe.hpp"
 #include "waveform/abstract_waveform.hpp"
 
 namespace waveck {
@@ -257,38 +258,8 @@ class ConstraintSystem final {
   std::uint64_t domain_gen_ = 0;
 
   // Registry handles cached at construction: metric updates in the hot
-  // paths are plain integer arithmetic, never name lookups. The two
-  // highest-rate histograms buffer through LocalHistogram and flush at
-  // fixpoint exit (and on destruction), so per-event observation stays
-  // non-atomic.
-  telemetry::Counter& ctr_fixpoints_;
-  telemetry::Counter& ctr_applications_;
-  telemetry::Counter& ctr_narrowings_;
-  telemetry::Counter& ctr_conflicts_;
-  telemetry::Counter& ctr_implication_scans_;
-  telemetry::Counter& ctr_implication_narrowings_;
-  telemetry::Counter& ctr_gate_evals_;
-  telemetry::Counter& ctr_level_sweeps_;
-  // Hardware-counter totals for the fixpoint drain (perf observatory):
-  // bumped once per reach_fixpoint when prof::counters_enabled(), so the
-  // disabled path pays one branch. Cycles/instructions/misses live under
-  // "perf.fixpoint.*" next to the stage-level "perf.stage.*" slots.
-  telemetry::Counter& ctr_perf_cycles_;
-  telemetry::Counter& ctr_perf_instructions_;
-  telemetry::Counter& ctr_perf_cache_refs_;
-  telemetry::Counter& ctr_perf_cache_misses_;
-  telemetry::Counter& ctr_perf_branch_misses_;
-  telemetry::Counter& ctr_perf_wall_ns_;
-  telemetry::Counter& ctr_perf_sections_;
-  telemetry::Histogram& h_fixpoint_narrowings_;
-  telemetry::LocalHistogram lh_queue_depth_;
-  telemetry::LocalHistogram lh_narrowing_magnitude_;
-
-  // High-water gauges, set once per reach_fixpoint exit (their `max` field
-  // in registry snapshots is the whole-run peak; see doc/OBSERVABILITY.md).
-  telemetry::Gauge& g_trail_depth_;
-  telemetry::Gauge& g_queue_depth_;
-  telemetry::Gauge& g_arena_bytes_;
+  // paths are plain integer arithmetic, never name lookups.
+  probe::FixpointCounters fixpoint_;
 
   /// Bytes held by the principal growable arenas (trail, domain planes,
   /// queue bookkeeping, change log, level plan). O(1): capacities only.

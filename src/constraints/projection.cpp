@@ -1,6 +1,7 @@
 #include "constraints/projection.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace waveck {
 namespace {
@@ -170,7 +171,10 @@ ProjectionDelta project_controlling(GateType type, DelaySpec d,
 
 ProjectionDelta project_xor(GateType type, DelaySpec d, AbstractSignal& out,
                             std::span<AbstractSignal> ins) {
-  assert(ins.size() == 2 && "wide XOR must be decomposed for the solver");
+  if (ins.size() != 2) {
+    throw std::invalid_argument(
+        "project_xor takes two inputs: run decompose_for_solver first");
+  }
   ProjectionDelta delta;
   const bool inv = inversion(type);  // XNOR inverts
   AbstractSignal& a = ins[0];

@@ -9,12 +9,13 @@
 #include "gen/rng.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/delay_annotation.hpp"
+#include "netlist/transforms.hpp"
 
 namespace waveck::fuzz {
 
 const std::vector<std::string>& known_profiles() {
   static const std::vector<std::string> kProfiles = {
-      "mixed", "small", "mux", "falsepath", "xor", "wide"};
+      "mixed", "small", "mux", "falsepath", "xor", "wide", "unary_xor"};
   return kProfiles;
 }
 
@@ -46,6 +47,12 @@ gen::StructuredCircuitConfig profile_config(const std::string& profile,
     cfg.w_xnor = 4;
     cfg.w_and = 1;
     cfg.w_or = 1;
+  } else if (profile == "unary_xor") {
+    // One-input XOR/XNOR next to binary ones: the battery runs on the
+    // decompose_for_solver form, which rewrites them as BUF/NOT.
+    cfg.w_xor = 4;
+    cfg.w_xnor = 3;
+    cfg.unary_xor_percent = 40;
   } else if (profile == "wide") {
     cfg.inputs = 9 + static_cast<unsigned>(rng.below(3));  // 9..11
     cfg.gates = 40 + static_cast<unsigned>(rng.below(30));
@@ -157,6 +164,7 @@ FuzzSummary run_fuzz(const FuzzConfig& cfg) {
     {
       const telemetry::ScopedTimer st(t_generate);
       c = gen::structured_random_circuit(gcfg);
+      if (gcfg.unary_xor_percent != 0) c = decompose_for_solver(c);
     }
     c_runs.inc();
     ++summary.runs_executed;

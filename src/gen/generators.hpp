@@ -150,6 +150,10 @@ struct StructuredCircuitConfig {
   /// Gate-mix weights (relative; a zero weight removes the type).
   unsigned w_and = 4, w_or = 4, w_nand = 3, w_nor = 3;
   unsigned w_xor = 2, w_xnor = 1, w_not = 2, w_buf = 1, w_mux = 0;
+  /// Percent chance an XOR/XNOR gets one input (XOR(a) = a, XNOR(a) = NOT
+  /// a), a form only decompose_for_solver makes solver-ready. Zero draws
+  /// nothing from the RNG, so other configs keep their circuits.
+  unsigned unary_xor_percent = 0;
   /// Percent chance a gate input is drawn from the `recent_window` newest
   /// nets instead of uniformly — high values give deep, reconvergent DAGs.
   unsigned reconvergence_percent = 60;

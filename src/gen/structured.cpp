@@ -83,7 +83,9 @@ Circuit structured_random_circuit(const StructuredCircuitConfig& cfg) {
     } else if (t == GateType::kMux) {
       fanin = 3;
     } else if (is_xor_like(t)) {
-      fanin = 2;
+      fanin = cfg.unary_xor_percent != 0 && rng.chance(cfg.unary_xor_percent)
+                  ? 1
+                  : 2;
     } else {
       fanin = 2 + rng.below(2);
     }

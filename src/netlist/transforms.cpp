@@ -58,6 +58,14 @@ Circuit decompose_for_solver(const Circuit& c, const DecomposeOptions& opt) {
     for (NetId i : g.ins) ins.push_back(rb.mapped(i));
     const NetId out = rb.mapped(g.out);
 
+    if (is_xor_like(g.type) && ins.size() == 1) {
+      // XOR(a) = a and XNOR(a) = NOT a; the solver's XOR projection is
+      // binary.
+      rb.emit(g.type == GateType::kXor ? GateType::kBuf : GateType::kNot, out,
+              std::move(ins), g.delay);
+      continue;
+    }
+
     if (opt.split_wide_xor && is_xor_like(g.type) && ins.size() > 2) {
       // Balanced tree of 2-input XORs; the root carries the original type
       // (XOR vs XNOR) and the original delay.

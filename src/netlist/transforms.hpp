@@ -25,6 +25,7 @@ struct DecomposeOptions {
 /// tree, which inherits the original gate's delay (so path lengths are
 /// preserved exactly for trees of depth 1; deeper trees distribute delay 0
 /// on inner nodes, keeping the original gate's [dmin,dmax] on the root).
+/// One-input XOR and XNOR become BUF and NOT with the gate's delay.
 [[nodiscard]] Circuit decompose_for_solver(const Circuit& c,
                                            const DecomposeOptions& opt = {});
 

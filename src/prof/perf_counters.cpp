@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 
@@ -242,14 +243,27 @@ std::uint64_t warnings_emitted() {
 
 void add_to_registry(telemetry::Registry& reg, std::string_view slot,
                      const CounterDelta& d) {
-  const std::string prefix = "perf." + std::string(slot) + ".";
-  reg.counter(prefix + "cycles").add(d.cycles);
-  reg.counter(prefix + "instructions").add(d.instructions);
-  reg.counter(prefix + "cache_references").add(d.cache_references);
-  reg.counter(prefix + "cache_misses").add(d.cache_misses);
-  reg.counter(prefix + "branch_misses").add(d.branch_misses);
-  reg.counter(prefix + "wall_ns").add(d.wall_ns);
-  reg.counter(prefix + "sections").inc();
+  RegistrySlot(reg, slot).add(d);
+}
+
+RegistrySlot::RegistrySlot(telemetry::Registry& reg, std::string_view slot) {
+  static constexpr const char* kNames[] = {
+      "cycles",        "instructions", "cache_references", "cache_misses",
+      "branch_misses", "wall_ns",      "sections"};
+  std::string name = "perf." + std::string(slot) + ".";
+  const std::size_t prefix = name.size();
+  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+    name.resize(prefix);
+    counters_[i] = &reg.counter(name += kNames[i]);
+  }
+}
+
+void RegistrySlot::add(const CounterDelta& d) {
+  const std::uint64_t v[] = {d.cycles,          d.instructions,
+                             d.cache_references, d.cache_misses,
+                             d.branch_misses,    d.wall_ns,
+                             1};  // one more section
+  for (std::size_t i = 0; i < std::size(v); ++i) counters_[i]->add(v[i]);
 }
 
 void reset_thread_counter_group_for_testing() { t_group.reset(); }

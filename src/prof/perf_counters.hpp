@@ -144,6 +144,17 @@ void set_counters_enabled(bool on);
 void add_to_registry(telemetry::Registry& reg, std::string_view slot,
                      const CounterDelta& d);
 
+/// The counters add_to_registry writes for one slot, looked up once so a
+/// hot section (the fixpoint drain) adds its delta without name lookups.
+class RegistrySlot {
+ public:
+  RegistrySlot(telemetry::Registry& reg, std::string_view slot);
+  void add(const CounterDelta& d);
+
+ private:
+  telemetry::Counter* counters_[7];  // cycles ... sections, in that order
+};
+
 /// Destroys the calling thread's group so the next thread_counter_group()
 /// re-opens (used to exercise WAVECK_PERF_FAKE_ERRNO in tests).
 void reset_thread_counter_group_for_testing();

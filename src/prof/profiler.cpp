@@ -7,7 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/telemetry.hpp"
@@ -17,6 +20,7 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <time.h>
 #endif
 
 namespace waveck::prof {
@@ -41,9 +45,17 @@ std::atomic<std::size_t> g_cursor{0};
 std::vector<Record> g_records;
 std::size_t g_capacity = 0;
 std::uint32_t g_hz = 0;
+std::uint64_t g_cpu0_ns = 0;  // process CPU clock when start() armed
 
 #ifdef __linux__
 struct sigaction g_prev_action {};
+
+std::uint64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
 
 extern "C" void waveck_sigprof_handler(int) {
   const int saved_errno = errno;
@@ -98,6 +110,16 @@ std::string json_str(const std::string& s) {
 
 }  // namespace
 
+const char* intern_mark(std::string_view name) {
+  // Leaked on purpose: a mark may be read by a late sample or by stop()
+  // after static destructors have started. Set nodes never move, so the
+  // c_str() pointers stay valid as the set grows.
+  static std::mutex mu;
+  static auto* names = new std::unordered_set<std::string>();
+  const std::scoped_lock lock(mu);
+  return names->emplace(name).first->c_str();
+}
+
 SamplingProfiler& SamplingProfiler::instance() {
   static SamplingProfiler p;
   return p;
@@ -132,6 +154,7 @@ bool SamplingProfiler::start(const ProfilerOptions& opt, std::string* error) {
     return false;
   }
 
+  g_cpu0_ns = process_cpu_ns();
   g_armed.store(true, std::memory_order_release);
   const long usec = std::max(1000000L / static_cast<long>(g_hz), 1L);
   itimerval timer{};
@@ -156,6 +179,7 @@ ProfileReport SamplingProfiler::stop() {
   ProfileReport rep;
 #ifdef __linux__
   if (!running()) return rep;
+  const std::uint64_t cpu1_ns = process_cpu_ns();
   itimerval off{};
   setitimer(ITIMER_PROF, &off, nullptr);
   g_armed.store(false, std::memory_order_release);
@@ -165,7 +189,14 @@ ProfileReport SamplingProfiler::stop() {
   const std::size_t n = std::min(claimed, g_capacity);
   rep.samples = n;
   rep.dropped = claimed - n;
-  rep.cpu_seconds = static_cast<double>(n) / static_cast<double>(g_hz);
+  rep.cpu_seconds = static_cast<double>(cpu1_ns - g_cpu0_ns) * 1e-9;
+  rep.delivered_hz =
+      rep.cpu_seconds > 0.0 ? static_cast<double>(claimed) / rep.cpu_seconds
+                            : 0.0;
+  // Each delivered signal stands for an equal share of the measured CPU
+  // time; dropped samples keep their share out of the weights.
+  const double sample_s =
+      claimed > 0 ? rep.cpu_seconds / static_cast<double>(claimed) : 0.0;
 
   // Symbolize each record once; name cache keyed by pc.
   std::map<void*, std::string> names;
@@ -211,18 +242,19 @@ ProfileReport SamplingProfiler::stop() {
   g_records.shrink_to_fit();
 
   // Collapsed-stack text plus the speedscope "sampled" document; one
-  // sample entry per distinct stack with its count as the weight.
+  // sample entry per distinct stack, weighted by its CPU seconds.
   std::ostringstream folded_os;
   std::map<std::string, std::size_t> frame_index;
   std::vector<std::string> frame_names;
   std::ostringstream samples_os;
   std::ostringstream weights_os;
-  std::uint64_t total = 0;
+  double total = 0.0;
   bool first_stack = true;
   for (const auto& [key, count] : folded) {
     folded_os << key << ' ' << count << '\n';
     samples_os << (first_stack ? "[" : ",[");
-    weights_os << (first_stack ? "" : ",") << count;
+    const double weight = static_cast<double>(count) * sample_s;
+    weights_os << (first_stack ? "" : ",") << weight;
     first_stack = false;
     std::size_t pos = 0;
     bool first_frame = true;
@@ -239,7 +271,7 @@ ProfileReport SamplingProfiler::stop() {
       pos = sep + 1;
     }
     samples_os << ']';
-    total += count;
+    total += weight;
   }
   rep.folded = folded_os.str();
 
@@ -250,8 +282,10 @@ ProfileReport SamplingProfiler::stop() {
   for (std::size_t i = 0; i < frame_names.size(); ++i) {
     ss << (i ? "," : "") << "{\"name\":" << json_str(frame_names[i]) << "}";
   }
-  ss << "]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"cpu (" << g_hz
-     << "Hz)\",\"unit\":\"none\",\"startValue\":0,\"endValue\":" << total
+  ss << "]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"cpu ("
+     << static_cast<long>(rep.delivered_hz + 0.5) << "Hz of " << g_hz
+     << "Hz requested)\",\"unit\":\"seconds\",\"startValue\":0,\"endValue\":"
+     << total
      << ",\"samples\":[" << samples_os.str() << "],\"weights\":["
      << weights_os.str() << "]}]}";
   rep.speedscope_json = ss.str();

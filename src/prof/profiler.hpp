@@ -6,7 +6,10 @@
 // plus reads of the thread-local telemetry marks (check output name and
 // pipeline stage, see telemetry::stage_mark). Because ITIMER_PROF counts
 // process CPU time, samples land on whichever thread is burning cycles, so
-// --jobs N workers are profiled together.
+// --jobs N workers are profiled together. The kernel may deliver fewer
+// signals than requested (ticks cap the rate, often at 250Hz), so the CPU
+// time is measured with CLOCK_PROCESS_CPUTIME_ID across start/stop and each
+// sample weighs its share of that interval, never 1/hz.
 //
 // stop() symbolizes once (backtrace_symbols + __cxa_demangle), prepends two
 // synthetic annotation frames — "check:<output>" and "stage:<stage>" — to
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace waveck::prof {
 
@@ -36,10 +40,17 @@ struct ProfilerOptions {
 struct ProfileReport {
   std::size_t samples = 0;
   std::size_t dropped = 0;       // ring full; raise max_samples
-  double cpu_seconds = 0.0;      // samples / hz
+  double cpu_seconds = 0.0;      // process CPU time between start and stop
+  double delivered_hz = 0.0;     // (samples + dropped) / cpu_seconds
   std::string folded;            // collapsed-stack text
-  std::string speedscope_json;
+  std::string speedscope_json;   // weights in seconds of CPU time
 };
+
+/// Returns a NUL-terminated copy of `name` that lives as long as the
+/// process: equal names share one copy. The check probe stores profiler
+/// marks through this, so a sample (or stop()) never reads a string its
+/// owner -- a Circuit's net name -- has since freed. Thread-safe.
+[[nodiscard]] const char* intern_mark(std::string_view name);
 
 class SamplingProfiler {
  public:

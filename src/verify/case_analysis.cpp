@@ -7,9 +7,8 @@
 #include "analysis/carrier_cache.hpp"
 #include "analysis/head_lines.hpp"
 #include "common/flight_recorder.hpp"
-#include "common/telemetry.hpp"
-#include "prof/heartbeat.hpp"
 #include "prof/perf_counters.hpp"
+#include "prof/probe.hpp"
 #include "sim/floating_sim.hpp"
 
 namespace waveck {
@@ -501,13 +500,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
                                       const Scoap* scoap,
                                       const CaseAnalysisOptions& opt,
                                       CarrierCache* cache) {
-  auto& reg = telemetry::Registry::current();
-  auto& ctr_decisions = reg.counter("search.decisions");
-  auto& ctr_backtracks = reg.counter("search.backtracks");
-  auto& ctr_conflicts = reg.counter("search.conflicts");
-  auto& ctr_spurious = reg.counter("search.spurious_vectors");
-  auto& h_conflict_depth = reg.histogram("search.conflict_depth");
-  auto& g_depth = reg.gauge("search.depth");
+  probe::SearchCounters k;
 
   CaseAnalysisOutcome out;
   const auto entry = cs.push_state();
@@ -518,30 +511,23 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
     bool cls;
     ConstraintSystem::Mark mark;
     bool flipped;
-    std::int64_t id;  // trace span id (1-based per search; -1 untraced)
+    std::int64_t id;  // span id of the decision's subtree (1-based)
   };
   std::vector<Decision> stack;
   std::int64_t next_decision_id = 0;
+  const auto parent_id = [&stack](std::size_t i) {
+    return i == 0 ? std::int64_t{-1} : stack[i - 1].id;
+  };
 
-  // Decision spans: each decision opens a subtree in the trace (the sink
-  // stamps every nested event with span_context().dec) and is closed by
-  // exactly one `decision_close` — "exhausted" when both classes failed,
-  // "witness"/"abandoned" for decisions still open when the search stops.
-  // The offline analyzer relies on this bracketing being exact; the flight
-  // recorder mirrors it 1:1 so blackbox dumps analyze the same way.
-  const auto close_open_decisions = [&stack](const char* outcome,
-                                             std::uint8_t outcome_code) {
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->id < 0) continue;
-      telemetry::span_context().dec = it->id;
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("decision_close", {{"outcome", outcome}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kDecisionClose, {}, 0, 0, outcome_code);
-      }
+  // Decision spans: each decision opens a subtree (every nested event is
+  // stamped with its id) and is closed by exactly one `decision_close` —
+  // "exhausted" when both classes failed, "witness"/"abandoned" for
+  // decisions still open when the search stops. The offline analyzer relies
+  // on this bracketing being exact.
+  const auto close_open_decisions = [&](std::uint8_t outcome) {
+    for (std::size_t i = stack.size(); i-- > 0;) {
+      probe::decision_close(stack[i].id, outcome, parent_id(i));
     }
-    telemetry::span_context().dec = -1;
   };
 
   bool consistent = propagate(cs, check, opt.dominators_in_search, cache);
@@ -560,7 +546,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
   for (;;) {
     if (stop_requested()) {
       cs.pop_to(entry);
-      close_open_decisions("abandoned", flight::kOutcomeAbandoned);
+      close_open_decisions(flight::kOutcomeAbandoned);
       out.result = CaseResult::kAbandoned;
       return out;
     }
@@ -570,80 +556,37 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       auto vec = extract_vector(cs);
       const auto sim = simulate_floating(cs.circuit(), vec);
       if (sim.settle[check.output.index()] >= check.delta) {
-        close_open_decisions("witness", flight::kOutcomeWitness);
+        close_open_decisions(flight::kOutcomeWitness);
         out.result = CaseResult::kViolation;
         out.vector = std::move(vec);
         return out;
       }
       consistent = false;  // spurious: treat as a conflict and backtrack
-      ctr_spurious.inc();
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("spurious_vector", {{"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kSpurious, {}, 0,
-                       static_cast<std::int64_t>(stack.size()));
-      }
+      probe::spurious_vector(k, stack.size());
     }
 
     if (!consistent) {
-      ctr_conflicts.inc();
-      h_conflict_depth.observe(stack.size());
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("conflict", {{"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kConflict, {}, 0,
-                       static_cast<std::int64_t>(stack.size()));
-      }
+      probe::conflict(k, stack.size());
       // Backtrack to the deepest unflipped decision and try its other class.
       bool resumed = false;
       while (!stack.empty()) {
         Decision& d = stack.back();
         if (d.flipped) {
           cs.pop_to(d.mark);
-          if (d.id >= 0) {
-            telemetry::span_context().dec = d.id;
-            if (telemetry::trace_enabled()) {
-              telemetry::emit("decision_close", {{"outcome", "exhausted"}});
-            }
-            if (flight::enabled()) {
-              flight::record(flight::Kind::kDecisionClose, {}, 0, 0,
-                             flight::kOutcomeExhausted);
-            }
-          }
+          probe::decision_close(d.id, flight::kOutcomeExhausted,
+                                parent_id(stack.size() - 1));
           stack.pop_back();
-          telemetry::span_context().dec = stack.empty() ? -1 : stack.back().id;
           continue;
         }
         cs.pop_to(d.mark);
         d.cls = !d.cls;
         d.flipped = true;
         ++out.backtracks;
-        ctr_backtracks.inc();
-        g_depth.set(static_cast<std::int64_t>(stack.size()));
-        if (prof::heartbeat_enabled()) {
-          prof::ActivityBoard::set_depth(
-              static_cast<std::int64_t>(stack.size()));
-        }
-        if (d.id >= 0) {
-          telemetry::span_context().dec = d.id;
-          if (telemetry::trace_enabled()) {
-            telemetry::emit("backtrack",
-                            {{"net", cs.circuit().net(d.net).name},
-                             {"cls", d.cls},
-                             {"depth", stack.size()}});
-          }
-          if (flight::enabled()) {
-            flight::record(flight::Kind::kBacktrack,
-                           cs.circuit().net(d.net).name, 0,
-                           static_cast<std::int64_t>(stack.size()),
-                           d.cls ? 1 : 0);
-          }
-        }
+        probe::backtrack(k, d.id, cs.circuit().net(d.net).name, d.cls,
+                         stack.size());
         if (out.backtracks > opt.max_backtracks) {
           cs.pop_to(entry);
-          close_open_decisions("abandoned", flight::kOutcomeAbandoned);
+          close_open_decisions(flight::kOutcomeAbandoned);
           out.result = CaseResult::kAbandoned;
           return out;
         }
@@ -653,15 +596,7 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
           resumed = true;
           break;
         }
-        ctr_conflicts.inc();
-        h_conflict_depth.observe(stack.size());
-        if (telemetry::trace_enabled()) {
-          telemetry::emit("conflict", {{"depth", stack.size()}});
-        }
-        if (flight::enabled()) {
-          flight::record(flight::Kind::kConflict, {}, 0,
-                         static_cast<std::int64_t>(stack.size()));
-        }
+        probe::conflict(k, stack.size());
       }
       if (resumed) continue;
       if (stack.empty()) {
@@ -680,37 +615,12 @@ CaseAnalysisOutcome run_case_analysis(ConstraintSystem& cs,
       consistent = false;
       continue;
     }
-    Decision d{pick->first, pick->second, cs.push_state(), false, -1};
-    if (telemetry::trace_enabled() || flight::enabled()) {
-      d.id = ++next_decision_id;
-    }
+    const Decision d{pick->first, pick->second, cs.push_state(), false,
+                     ++next_decision_id};
     stack.push_back(d);
     ++out.decisions;
-    ctr_decisions.inc();
-    g_depth.set(static_cast<std::int64_t>(stack.size()));
-    if (prof::heartbeat_enabled()) {
-      prof::ActivityBoard::set_depth(
-          static_cast<std::int64_t>(stack.size()));
-    }
-    if (d.id >= 0) {
-      // The decision's own id rides in the sink-stamped "dec"; `parent`
-      // links it into the tree (-1 = child of the search root).
-      const std::int64_t parent =
-          stack.size() > 1 ? stack[stack.size() - 2].id : -1;
-      telemetry::span_context().dec = d.id;
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("decision", {{"parent", parent},
-                                     {"net", cs.circuit().net(d.net).name},
-                                     {"cls", d.cls},
-                                     {"depth", stack.size()}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kDecision,
-                       cs.circuit().net(d.net).name, parent,
-                       static_cast<std::int64_t>(stack.size()),
-                       d.cls ? 1 : 0);
-      }
-    }
+    probe::decision(k, d.id, parent_id(stack.size() - 1),
+                    cs.circuit().net(d.net).name, d.cls, stack.size());
     cs.restrict_domain(d.net, AbstractSignal::class_only(d.cls));
     consistent = propagate(cs, check, opt.dominators_in_search, cache);
   }

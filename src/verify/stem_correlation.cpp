@@ -6,35 +6,16 @@
 
 #include "analysis/carrier_cache.hpp"
 #include "common/flight_recorder.hpp"
-#include "common/telemetry.hpp"
+#include "prof/probe.hpp"
 
 namespace waveck {
-
-namespace {
-
-void trace_stem(const ConstraintSystem& cs, NetId stem,
-                std::string_view outcome, std::size_t narrowed) {
-  if (telemetry::trace_enabled()) {
-    telemetry::emit("stem", {{"net", cs.circuit().net(stem).name},
-                             {"outcome", outcome},
-                             {"narrowed", narrowed}});
-  }
-  if (flight::enabled()) {
-    flight::record(flight::Kind::kStem, cs.circuit().net(stem).name);
-  }
-}
-
-}  // namespace
 
 StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
                                             const TimingCheck& check,
                                             std::span<const NetId> stems,
                                             std::size_t max_stems,
                                             CarrierCache* cache) {
-  auto& reg = telemetry::Registry::current();
-  auto& ctr_stems = reg.counter("stem.stems_processed");
-  auto& ctr_one_sided = reg.counter("stem.one_sided");
-  auto& ctr_narrowed = reg.counter("stem.domains_narrowed");
+  probe::StemCounters k;
 
   StemCorrelationStats stats;
   if (cs.inconsistent()) {
@@ -111,19 +92,18 @@ StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
     }
 
     ++stats.stems_processed;
-    ctr_stems.inc();
+    const std::string_view name = cs.circuit().net(stem).name;
     if (!ok0 && !ok1) {
       // Neither class admits a solution: the whole check is inconsistent.
       cs.restrict_domain(stem, AbstractSignal::bottom());
       stats.proved_no_violation = true;
-      trace_stem(cs, stem, "refuted", 0);
+      probe::stem(k, name, flight::kStemRefuted, 0);
       return stats;
     }
     if (ok0 != ok1) {
       // Necessary assignment: keep the surviving class and its propagation.
       ++stats.one_sided;
-      ctr_one_sided.inc();
-      trace_stem(cs, stem, "one_sided", 0);
+      probe::stem(k, name, flight::kStemOneSided, 0);
       cs.restrict_domain(stem, AbstractSignal::class_only(ok1));
       if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
         stats.proved_no_violation = true;
@@ -146,8 +126,7 @@ StemCorrelationStats apply_stem_correlation(ConstraintSystem& cs,
         ++narrowed_here;
       }
     }
-    ctr_narrowed.add(narrowed_here);
-    trace_stem(cs, stem, "both", narrowed_here);
+    probe::stem(k, name, flight::kStemBoth, narrowed_here);
     if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
       stats.proved_no_violation = true;
       return stats;

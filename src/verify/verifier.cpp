@@ -1,7 +1,6 @@
 #include "verify/verifier.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "analysis/carrier_cache.hpp"
@@ -9,7 +8,7 @@
 #include "common/flight_recorder.hpp"
 #include "common/telemetry.hpp"
 #include "netlist/topo_delay.hpp"
-#include "prof/heartbeat.hpp"
+#include "prof/probe.hpp"
 #include "sim/floating_sim.hpp"
 #include "sim/transition_sim.hpp"
 #include "verify/stem_correlation.hpp"
@@ -29,20 +28,16 @@ StageStatus status_of(ConstraintSystem::Status s) {
              : StageStatus::kPossible;
 }
 
-/// Flight-record code for a stage verdict rendered by to_string(StageStatus)
-/// ("-" / "P" / "N"); the close_stage lambda only has the string.
-std::uint8_t flight_stage_code(const char* status) {
-  switch (status[0]) {
-    case 'P': return flight::kStagePossible;
-    case 'N': return flight::kStageNoViolation;
-    default: return flight::kStageNotRun;
-  }
-}
+/// Flight stage-status code of a stage verdict (verifier.hpp asserts the
+/// enum order is the code order).
+std::uint8_t stage_code(StageStatus s) { return static_cast<std::uint8_t>(s); }
 
-std::int64_t flight_delta(Time delta) {
-  if (delta.is_pos_inf()) return std::numeric_limits<std::int64_t>::max();
-  if (delta.is_neg_inf()) return std::numeric_limits<std::int64_t>::min();
-  return delta.value();
+/// The case-analysis stage closes with its check's conclusion.
+std::uint8_t stage_code(CheckConclusion c) {
+  constexpr std::uint8_t kByConclusion[] = {
+      flight::kStageNoViolation, flight::kStageViolation,
+      flight::kStageAbandoned, flight::kStagePossible};
+  return kByConclusion[static_cast<std::size_t>(c)];
 }
 
 /// Worst-of for stage aggregation: P dominates N dominates NotRun.
@@ -157,68 +152,22 @@ CheckReport Verifier::run_check(const Circuit& c, Circuit* mutable_c,
   const std::uint64_t stems0 = ctr_stems.value();
   const std::uint64_t corr0 = ctr_corr.value();
 
-  reg.counter("verify.checks").inc();
   // Check-level span: every event emitted until the matching check_end
   // (stages, decisions, propagations — including from code that knows
   // nothing about checks) is stamped with this check's id.
-  std::optional<telemetry::ScopedCheckSpan> span;
-  if (telemetry::trace_enabled() || flight::enabled()) {
-    span.emplace();  // the flight recorder attributes by chk id too
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("check_begin", {{"output", c.net(s).name},
-                                      {"delta", delta.value()}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kCheckBegin, c.net(s).name,
-                     flight_delta(delta));
-    }
-  }
-  // Profiler mark (thread-local, one relaxed store) and heartbeat board
-  // slot: both borrow the net's name, which outlives the check.
-  telemetry::set_check_mark(c.net(s).name.c_str());
-  if (prof::heartbeat_enabled()) {
-    prof::ActivityBoard::begin_check(c.net(s).name.c_str(),
-                                     span ? span->id() : -1);
-  }
+  probe::CheckSpan span(c.net(s).name, delta);
 
   const telemetry::StopWatch watch;
   CheckReport rep = run_check_stages(c, mutable_c, s, delta, input_override);
   rep.seconds = watch.seconds();
-  telemetry::set_stage_mark(nullptr);
-  telemetry::set_check_mark(nullptr);
-  if (prof::heartbeat_enabled()) prof::ActivityBoard::end_check();
   rep.backtracks = ctr_backtracks.value() - backtracks0;
   rep.decisions = ctr_decisions.value() - decisions0;
   rep.gitd_rounds = ctr_gitd_rounds.value() - gitd0;
   rep.stems_processed = ctr_stems.value() - stems0;
   rep.correlated_delay_narrowings = ctr_corr.value() - corr0;
 
-  reg.counter(std::string("verify.conclusion.") +
-              to_string(rep.conclusion)).inc();
-  if (telemetry::trace_enabled()) {
-    if (rep.vector) {
-      // The witness rides along so offline consumers (the DOT exporter's
-      // critical-path highlight) need no re-search.
-      const std::string vec = format_vector(*rep.vector);
-      telemetry::emit("check_end",
-                      {{"output", c.net(s).name},
-                       {"conclusion", to_string(rep.conclusion)},
-                       {"seconds", rep.seconds},
-                       {"vector", vec}});
-    } else {
-      telemetry::emit("check_end",
-                      {{"output", c.net(s).name},
-                       {"conclusion", to_string(rep.conclusion)},
-                       {"seconds", rep.seconds}});
-    }
-  }
-  if (flight::enabled()) {
-    // The conclusion codes in flight_recorder.hpp mirror CheckConclusion's
-    // declaration order, so the enum value doubles as the record code.
-    flight::record(flight::Kind::kCheckEnd, c.net(s).name,
-                   static_cast<std::int64_t>(rep.seconds * 1e9), 0,
-                   static_cast<std::uint8_t>(rep.conclusion));
-  }
+  span.end(static_cast<std::uint8_t>(rep.conclusion), rep.seconds,
+           rep.vector ? &*rep.vector : nullptr);
   // Post-mortem trigger: a check abandoned because its deadline passed is
   // exactly the "why was this slow?" moment the blackbox exists for. The
   // per-reason cooldown in dump_blackbox keeps a refutation band that blows
@@ -252,18 +201,11 @@ CheckReport Verifier::run_check_stages(
   const bool perf_on = prof::counters_enabled();
   prof::CounterSample perf_mark;
   const auto open_stage = [&](const char* stage) {
-    telemetry::set_stage_mark(stage);
-    if (prof::heartbeat_enabled()) prof::ActivityBoard::set_stage(stage);
+    probe::stage_begin(stage);
     if (perf_on) perf_mark = prof::thread_counter_group().read();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_begin", {{"stage", stage}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageBegin, stage);
-    }
   };
   const auto close_stage = [&](const char* timer, const char* stage,
-                               const char* status, double& slot,
+                               std::uint8_t status, double& slot,
                                prof::CounterTotals* perf_slot) {
     const std::uint64_t ns = stage_watch.ns();
     reg.timer(timer).add_ns(ns);
@@ -275,14 +217,7 @@ CheckReport Verifier::run_check_stages(
       perf_slot->add(d);
       prof::add_to_registry(reg, timer, d);
     }
-    telemetry::set_stage_mark(nullptr);
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_end", {{"stage", stage}, {"status", status}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageEnd, stage, 0, 0,
-                     flight_stage_code(status));
-    }
+    probe::stage_end(stage, status);
   };
 
   ConstraintSystem cs(c);
@@ -300,13 +235,7 @@ CheckReport Verifier::run_check_stages(
     const LearningResult& lr = learning();  // lazily computed once
     reg.timer("stage.learning").add_ns(stage_watch.ns());
     stage_watch = telemetry::StopWatch();
-    if (telemetry::trace_enabled()) {
-      telemetry::emit("stage_end", {{"stage", "learning"}, {"status", "-"}});
-    }
-    if (flight::enabled()) {
-      flight::record(flight::Kind::kStageEnd, "learning", 0, 0,
-                     flight::kStageNotRun);
-    }
+    probe::stage_end("learning", flight::kStageNotRun);
     cs.set_implications(&lr.table);
   }
   open_stage("narrowing");
@@ -330,7 +259,7 @@ CheckReport Verifier::run_check_stages(
 
   // Stage 1: plain narrowing fixpoint.
   rep.before_gitd = status_of(cs.reach_fixpoint());
-  close_stage("stage.narrowing", "narrowing", to_string(rep.before_gitd),
+  close_stage("stage.narrowing", "narrowing", stage_code(rep.before_gitd),
               rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
   if (rep.before_gitd == StageStatus::kNoViolation) {
     rep.conclusion = CheckConclusion::kNoViolation;
@@ -346,7 +275,8 @@ CheckReport Verifier::run_check_stages(
     open_stage("delay_correlation");
     const auto stats = apply_delay_correlation(cs, *mutable_c);
     close_stage("stage.delay_correlation", "delay_correlation",
-                stats.proved_no_violation ? "N" : "P",
+                stats.proved_no_violation ? flight::kStageNoViolation
+                                          : flight::kStagePossible,
                 rep.stage_seconds.narrowing, &rep.stage_perf.narrowing);
     if (stats.proved_no_violation) {
       rep.before_gitd = StageStatus::kNoViolation;
@@ -373,23 +303,16 @@ CheckReport Verifier::run_check_stages(
     rep.after_gitd = StageStatus::kPossible;
     for (;;) {
       if (deadline_expired()) break;
-      ctr_rounds.inc();
       const std::size_t narrowed =
           apply_dominator_implications(cs, rep.check, cache);
-      if (telemetry::trace_enabled()) {
-        telemetry::emit("gitd_round", {{"narrowed", narrowed}});
-      }
-      if (flight::enabled()) {
-        flight::record(flight::Kind::kGitdRound, {},
-                       static_cast<std::int64_t>(narrowed));
-      }
+      probe::gitd_round(ctr_rounds, narrowed);
       if (narrowed == 0) break;
       if (cs.reach_fixpoint() == ConstraintSystem::Status::kNoViolation) {
         rep.after_gitd = StageStatus::kNoViolation;
         break;
       }
     }
-    close_stage("stage.gitd", "gitd", to_string(rep.after_gitd),
+    close_stage("stage.gitd", "gitd", stage_code(rep.after_gitd),
                 rep.stage_seconds.gitd, &rep.stage_perf.gitd);
     if (rep.after_gitd == StageStatus::kNoViolation) {
       rep.conclusion = CheckConclusion::kNoViolation;
@@ -419,7 +342,8 @@ CheckReport Verifier::run_check_stages(
                return true;
            }
          }());
-    close_stage("stage.stem", "stem", closed ? "N" : "P",
+    close_stage("stage.stem", "stem",
+                closed ? flight::kStageNoViolation : flight::kStagePossible,
                 rep.stage_seconds.stem, &rep.stage_perf.stem);
     if (closed) {
       rep.after_stem = StageStatus::kNoViolation;
@@ -457,7 +381,7 @@ CheckReport Verifier::run_check_stages(
       break;
   }
   close_stage("stage.case_analysis", "case_analysis",
-              to_string(rep.conclusion), rep.stage_seconds.case_analysis,
+              stage_code(rep.conclusion), rep.stage_seconds.case_analysis,
               &rep.stage_perf.case_analysis);
   return rep;
 }

@@ -25,6 +25,7 @@
 #include "analysis/carriers.hpp"
 #include "analysis/learning.hpp"
 #include "analysis/scoap.hpp"
+#include "common/flight_recorder.hpp"
 #include "prof/perf_counters.hpp"
 #include "verify/case_analysis.hpp"
 
@@ -64,13 +65,15 @@ enum class StageStatus : std::uint8_t {
   kNoViolation  // 'N'
 };
 
-[[nodiscard]] constexpr const char* to_string(StageStatus s) {
-  switch (s) {
-    case StageStatus::kNotRun: return "-";
-    case StageStatus::kPossible: return "P";
-    case StageStatus::kNoViolation: return "N";
-  }
-  return "?";
+// The flight-record stage codes follow this declaration order, so the enum
+// value doubles as the event code and the flight table renders it.
+static_assert(static_cast<int>(StageStatus::kNotRun) == flight::kStageNotRun &&
+              static_cast<int>(StageStatus::kPossible) ==
+                  flight::kStagePossible &&
+              static_cast<int>(StageStatus::kNoViolation) ==
+                  flight::kStageNoViolation);
+[[nodiscard]] inline const char* to_string(StageStatus s) {
+  return flight::stage_status_str(static_cast<std::uint8_t>(s));
 }
 
 enum class CheckConclusion : std::uint8_t {
@@ -80,14 +83,14 @@ enum class CheckConclusion : std::uint8_t {
   kPossible,     // narrowing says possible; case analysis disabled
 };
 
-[[nodiscard]] constexpr const char* to_string(CheckConclusion c) {
-  switch (c) {
-    case CheckConclusion::kNoViolation: return "N";
-    case CheckConclusion::kViolation: return "V";
-    case CheckConclusion::kAbandoned: return "A";
-    case CheckConclusion::kPossible: return "P";
-  }
-  return "?";
+// Likewise for the flight-record conclusion codes.
+static_assert(
+    static_cast<int>(CheckConclusion::kNoViolation) == flight::kConclusionN &&
+    static_cast<int>(CheckConclusion::kViolation) == flight::kConclusionV &&
+    static_cast<int>(CheckConclusion::kAbandoned) == flight::kConclusionA &&
+    static_cast<int>(CheckConclusion::kPossible) == flight::kConclusionP);
+[[nodiscard]] inline const char* to_string(CheckConclusion c) {
+  return flight::conclusion_str(static_cast<std::uint8_t>(c));
 }
 
 /// Wall time spent in each pipeline stage of a check (Table 1's cost

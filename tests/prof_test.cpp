@@ -338,6 +338,35 @@ TEST(Profiler, SmokeCapturesAnnotatedStacks) {
             std::string::npos);
 }
 
+// The kernel may deliver far fewer SIGPROFs than requested (250 Hz ticks
+// against 997 Hz asked), so samples / hz undercounts CPU time about 4x:
+// the report must measure it instead.
+TEST(Profiler, CpuSecondsMatchBusyLoop) {
+  auto& p = prof::SamplingProfiler::instance();
+  std::string err;
+  ASSERT_TRUE(p.start({.hz = 997}, &err)) << err;
+  volatile double acc = 1.0;
+  const std::clock_t t0 = std::clock();
+  while (std::clock() - t0 < static_cast<std::clock_t>(0.4 * CLOCKS_PER_SEC)) {
+    for (int i = 0; i < 10000; ++i) acc = acc * 1.0000001 + 0.5;
+  }
+  const double busy =
+      static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+  const prof::ProfileReport rep = p.stop();
+  EXPECT_NEAR(rep.cpu_seconds, busy, 0.2 * busy);
+  EXPECT_NEAR(rep.delivered_hz,
+              static_cast<double>(rep.samples + rep.dropped) / rep.cpu_seconds,
+              1e-6);
+  // Speedscope weights are CPU seconds and sum to at most the interval.
+  const std::size_t at = rep.speedscope_json.find("\"endValue\":");
+  ASSERT_NE(at, std::string::npos);
+  const double end_value =
+      std::strtod(rep.speedscope_json.c_str() + at + 11, nullptr);
+  EXPECT_LE(end_value, rep.cpu_seconds * 1.001);
+  EXPECT_NE(rep.speedscope_json.find("\"unit\":\"seconds\""),
+            std::string::npos);
+}
+
 TEST(Profiler, DoubleStartRefused) {
   auto& p = prof::SamplingProfiler::instance();
   std::string err;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/flight_recorder.hpp"
 #include "gen/generators.hpp"
 #include "verify/verifier.hpp"
 
@@ -447,6 +450,72 @@ TEST(TraceParity, EventCountsMatchReportTallies) {
   // At delta_E a vector exists, so the search must have decided something.
   EXPECT_EQ(suite.conclusion, CheckConclusion::kViolation);
   EXPECT_GE(decisions, 1u);
+}
+
+/// Raw JSON token of `key` in one JSONL line ("" when absent): enough to
+/// compare the trace and dump schemas field by field without a parser.
+std::string json_token(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return "";
+  const std::size_t from = at + key.size() + 3;
+  return line.substr(from, line.find_first_of(",}", from) - from);
+}
+
+/// The (ev, chk, dec, depth, cls, parent) identity of every JSONL line whose
+/// event the flight recorder also records.
+std::vector<std::string> event_identities(const std::string& jsonl) {
+  static const std::set<std::string> kRingEvents = {
+      "\"check_begin\"", "\"check_end\"",  "\"stage_begin\"",
+      "\"stage_end\"",   "\"decision\"",   "\"decision_close\"",
+      "\"backtrack\"",   "\"conflict\"",   "\"spurious_vector\"",
+      "\"propagate\"",   "\"cache\"",      "\"gitd_round\"",
+      "\"stem\""};
+  std::vector<std::string> out;
+  std::istringstream is(jsonl);
+  for (std::string line; std::getline(is, line);) {
+    const std::string ev = json_token(line, "ev");
+    if (!kRingEvents.contains(ev)) continue;
+    std::string id = ev;
+    for (const char* k : {"chk", "dec", "depth", "cls", "parent"}) {
+      id += ' ';
+      id += json_token(line, k);
+    }
+    out.push_back(std::move(id));
+  }
+  return out;
+}
+
+/// The ring and the trace are written by the same engine probes, so a dump
+/// of the rings replays the trace's event sequence, span ids included.
+TEST(TraceParity, RingDumpMatchesTrace) {
+  Circuit c = gen::carry_skip_adder(16, 4);
+  c.set_uniform_delay(DelaySpec::fixed(10));
+  Verifier v(c);
+  const auto exact = v.exact_floating_delay();  // unsinked warm-up probe
+
+  const bool was_enabled = flight::enabled();
+  flight::set_enabled(true);
+  flight::reset_for_test();
+  SinkGuard guard;
+  std::ostringstream trace;
+  {
+    telemetry::JsonlTraceSink sink(trace);
+    telemetry::set_trace_sink(&sink);
+    (void)v.check_circuit(exact.delay);
+    telemetry::set_trace_sink(nullptr);
+  }
+  std::ostringstream dump;
+  flight::dump(dump, "test");
+  const std::uint64_t records = flight::stats().records;
+  flight::set_enabled(was_enabled);
+
+  // Every record is still in its ring: nothing was overwritten.
+  ASSERT_GT(records, 0u);
+  ASSERT_LE(records, flight::Ring::kCapacity);
+  const auto from_trace = event_identities(trace.str());
+  const auto from_dump = event_identities(dump.str());
+  EXPECT_EQ(from_dump.size(), records);
+  EXPECT_EQ(from_dump, from_trace);
 }
 
 TEST(TraceParity, StageTimersCoverCheckSeconds) {

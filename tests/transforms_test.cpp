@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "gen/generators.hpp"
+#include "netlist/bench_io.hpp"
 #include "sim/floating_sim.hpp"
+#include "verify/verifier.hpp"
 
 namespace waveck {
 namespace {
@@ -139,6 +144,32 @@ TEST(Transforms, DecomposePreservesDelaysOnRoot) {
   const Circuit split = decompose_for_solver(c);
   const Gate& root = split.gate(split.net(*split.find_net("o")).driver);
   EXPECT_EQ(root.delay, DelaySpec::fixed(7));
+}
+
+// A one-input XOR or XNOR used to reach the solver's binary XOR projection,
+// which read a second input past the end of its span.
+TEST(Transforms, DecomposeRewritesOneInputXor) {
+  for (const std::string type : {"XOR", "XNOR"}) {
+    SCOPED_TRACE(type);
+    const Circuit raw =
+        read_bench_string("INPUT(a)\nOUTPUT(y)\ny = " + type + "(a)\n");
+    const Circuit c = decompose_for_solver(raw);
+    const NetId y = *c.find_net("y");
+    const Gate& g = c.gate(c.net(y).driver);
+    EXPECT_EQ(g.type, type == "XOR" ? GateType::kBuf : GateType::kNot);
+    EXPECT_EQ(g.delay, raw.gate(raw.net(*raw.find_net("y")).driver).delay);
+    expect_equivalent(raw, c);
+
+    Verifier v(c);
+    const auto res = v.exact_floating_delay();
+    EXPECT_TRUE(res.exact);
+    EXPECT_EQ(res.delay, exhaustive_floating_delay(raw));
+
+    // The raw form is refused instead of read out of bounds.
+    Verifier unsplit(raw);
+    EXPECT_THROW((void)unsplit.check_output(*raw.find_net("y"), Time(0)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Transforms, Histogram) {

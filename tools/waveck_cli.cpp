@@ -338,7 +338,8 @@ int write_profile_outputs(const prof::ProfileReport& rep,
   }
   fs << rep.folded;
   std::cerr << "profile: " << rep.samples << " samples, " << std::fixed
-            << std::setprecision(2) << rep.cpu_seconds << "s cpu";
+            << std::setprecision(2) << rep.cpu_seconds << "s cpu, "
+            << std::setprecision(0) << rep.delivered_hz << " Hz delivered";
   if (rep.dropped > 0) std::cerr << ", " << rep.dropped << " dropped";
   std::cerr << " -> " << out << " + " << folded_path << "\n";
   return 0;
